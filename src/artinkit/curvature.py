@@ -184,18 +184,28 @@ def load_diagram(text: str) -> DiscDiagram:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DiagramError(f"bad JSON: {exc}") from None
+    if not isinstance(data, dict):
+        raise DiagramError("bad diagram schema: the top level must be an object")
     try:
-        triangles = tuple(tuple(str(v) for v in t) for t in data["triangles"])
-        types = {str(v): int(ty) for v, ty in data["types"].items()}
-        boundary = tuple(str(v) for v in data["boundary"])
-        transitions = frozenset(str(v) for v in data.get("transitions", []))
-        bp = data.get("basepoint")
-        basepoint = None if bp is None else str(bp)
-    except (KeyError, TypeError) as exc:
-        raise DiagramError(f"bad diagram schema: {exc}") from None
-    for t in triangles:
-        if len(t) != 3:
-            raise DiagramError(f"triangle {t} does not have three vertices")
+        raw = {key: data[key] for key in ("triangles", "types", "boundary")}
+    except KeyError as exc:
+        raise DiagramError(f"bad diagram schema: missing key {exc}") from None
+    raw["transitions"] = data.get("transitions", [])
+    for key in ("triangles", "boundary", "transitions"):
+        if not isinstance(raw[key], list):
+            raise DiagramError(f"bad diagram schema: {key!r} must be a list")
+    types = raw["types"]
+    # bool is a subclass of int, so the exact type is tested
+    if not isinstance(types, dict) or any(type(ty) is not int for ty in types.values()):
+        raise DiagramError("bad diagram schema: 'types' must map vertex names to integers")
+    for t in raw["triangles"]:
+        if not isinstance(t, list) or len(t) != 3:
+            raise DiagramError(f"triangle {t} is not a list of three vertices")
+    triangles = tuple(tuple(str(v) for v in t) for t in raw["triangles"])
+    boundary = tuple(str(v) for v in raw["boundary"])
+    transitions = frozenset(str(v) for v in raw["transitions"])
+    bp = data.get("basepoint")
+    basepoint = None if bp is None else str(bp)
     d = DiscDiagram(triangles, types, boundary, transitions, basepoint)
     validate(d)
     return d

@@ -13,12 +13,16 @@ most m-1 (a *simple* factor) and the last letter of u_i equals the first
 letter of u_{i+1}.  Uniqueness pins the semantics: two input words represent
 the same group element iff they produce identical (simples, N) data.
 
-The algorithm is greedy factorisation on the left.  Simple factors form a
-lattice between the identity and D in which positive words of length < m are
-rigid, so a pair (x, y) of simple factors is reduced iff the junction letters
-agree; otherwise x+y concatenates into a longer alternating word, spilling a
-full D whenever the length reaches m.  D moved across a factor conjugates it,
-which swaps the two letters when m is odd and fixes them when m is even.
+The algorithm is greedy factorisation on the left, in one pass over the word
+and in time linear in its length.  Simple factors form a lattice between the
+identity and D in which positive words of length < m are rigid, so a pair
+(x, y) of simple factors is reduced iff the junction letters agree; otherwise
+x+y concatenates into a longer alternating word, spilling a full D whenever
+the length reaches m.  D moved across a factor conjugates it (tau), which
+swaps the two letters when m is odd and fixes them when m is even.  Every D,
+spilled or from an inverse letter, is moved to the right end at once: only
+its parity is kept, and it conjugates each factor as that factor is read, so
+no factor already reduced is ever rewritten.
 
 An independent equality oracle is provided for cross-checking: an element is
 determined by its exponent sum together with its image in the quotient by the
@@ -58,22 +62,7 @@ def _check_alphabet(w: Word) -> None:
 
 
 def _alt_string(first: str, k: int) -> str:
-    return "".join(first if i % 2 == 0 else _OTHER[first] for i in range(k))
-
-
-def _alt_string_ending(last: str, k: int) -> str:
-    return "".join(last if (k - 1 - i) % 2 == 0 else _OTHER[last] for i in range(k))
-
-
-def _swap(word: str) -> str:
-    return "".join(_OTHER[c] for c in word)
-
-
-def _tau(word: str, m: int, power: int = 1) -> str:
-    """Conjugation of a positive alternating word by D^power."""
-    if m % 2 == 1 and power % 2 == 1:
-        return _swap(word)
-    return word
+    return ((first + _OTHER[first]) * (k // 2 + 1))[:k]
 
 
 def delta_word(m: int) -> Word:
@@ -108,67 +97,55 @@ class GarsideNormalForm:
         return f"[{'|'.join(self.simples)}] Δ^{self.delta_power}"
 
 
-def _normalize(factors: list[str], m: int) -> tuple[int, list[str]]:
-    """Left-greedy reduction of a sequence of alternating factors.
-
-    Returns (p, fs) with the input product equal to D^p * fs and fs in
-    normal form (matching junctions, all lengths in 1..m-1).
-    """
-    fs = [f for f in factors if f]
-    power = 0
-    i = 0
-    while 0 <= i < len(fs) - 1:
-        x, y = fs[i], fs[i + 1]
-        if x[-1] == y[0]:
-            i += 1
-            continue
-        merged = x + y
-        if len(merged) < m:
-            fs[i : i + 2] = [merged]
-        else:
-            rest = merged[m:]
-            # x1..x_{i-1} * D * rest...  ==  D * tau(x1..x_{i-1}) * rest...
-            fs[:i] = [_tau(f, m) for f in fs[:i]]
-            fs[i : i + 2] = [rest] if rest else []
-            power += 1
-        i = max(i - 1, 0)
-    return power, fs
-
-
 def garside_nf(m: int, w: Word) -> GarsideNormalForm:
     """The unique canonical form of the element represented by w (m >= 3)."""
     if m < 3:
         raise PreconditionError("garside_nf needs m >= 3")
     _check_alphabet(w)
 
-    # Sweep left to right, keeping the element as D^power * (positive word).
-    # A letter g^-1 equals D^-1 * U with U the alternating word of length m-1
-    # ending in the other letter, and pulling D^-1 leftwards conjugates the
-    # positive prefix accumulated so far.
+    # The prefix read so far is f_1..f_k * D^power with f_1..f_k in normal form,
+    # each factor stored as (first letter, length).  D^power moved right past
+    # the next factor conjugates it by tau^power.
+    odd = m % 2 == 1
     power = 0
-    letters: list[str] = []
+    stack: list[tuple[str, int]] = []
     for name, sign in w:
         if sign == 1:
-            letters.append(name)
+            first, length = name, 1
         else:
+            # g^-1 == D^-1 * U with U the alternating word of length m-1
+            # ending in the other letter.
             power -= 1
-            if m % 2 == 1:
-                letters = [_OTHER[c] for c in letters]
-            letters.extend(_alt_string_ending(_OTHER[name], m - 1))
-
-    extra, fs = _normalize(letters, m)
-    power += extra
-    # D^power * f1..fq == tau^power(f1)..tau^power(fq) * D^power.
-    return GarsideNormalForm(m, tuple(_tau(f, m, power) for f in fs), power)
+            first, length = (name if odd else _OTHER[name]), m - 1
+        if odd and power % 2:
+            first = _OTHER[first]
+        # Merge into the top factor while the junction letters differ.  A merged
+        # word of length >= m is D * rest, and D moved right conjugates rest,
+        # which then starts with the same letter as the merged word.
+        while stack:
+            top_first, top_length = stack[-1]
+            if (top_first if top_length % 2 else _OTHER[top_first]) == first:
+                break
+            stack.pop()
+            first, length = top_first, top_length + length
+            if length < m:
+                break
+            power += 1
+            length -= m
+            if not length:
+                break
+        if length:
+            stack.append((first, length))
+    return GarsideNormalForm(m, tuple(_alt_string(f, k) for f, k in stack), power)
 
 
 def words_equal(m: int, w1: Word, w2: Word) -> bool:
     """Exact word problem for the two-generator group with coefficient m >= 2."""
-    _check_alphabet(w1)
-    _check_alphabet(w2)
     if m < 2:
         raise PreconditionError("words_equal needs m >= 2")
     if m == 2:
+        _check_alphabet(w1)
+        _check_alphabet(w2)
         # Free abelian on s, t.
         def exps(w: Word) -> tuple[int, int]:
             es = sum(sign for name, sign in w if name == "s")

@@ -24,8 +24,7 @@ import re
 from dataclasses import dataclass
 
 from .errors import GraphError, PreconditionError
-
-_NAME_RE = re.compile(r"[A-Za-z0-9_]+\Z")
+from .words import _NAME_RE
 
 Edge = tuple[str, str]
 
@@ -178,10 +177,7 @@ def parse_graph(text: str) -> PresentationGraph:
         vertices = declared
     else:
         vertices = [x for u, v, _ in edges for x in (u, v)]
-    try:
-        return PresentationGraph(vertices, edges)
-    except GraphError:
-        raise
+    return PresentationGraph(vertices, edges)
 
 
 @dataclass(frozen=True)

@@ -142,6 +142,16 @@ def test_exit_codes():
     assert code == 2
 
 
+def test_malformed_diagram_is_domain_error(tmp_path, capsys):
+    bad = json.loads((FIXTURES / "hexstar.diagram").read_text())
+    bad["types"] = [1, 2]
+    path = tmp_path / "bad.diagram"
+    path.write_text(json.dumps(bad))
+    code, text = run(["curvature", str(path)])
+    assert (code, text) == (1, "")
+    assert capsys.readouterr().err.startswith("error: bad diagram schema")
+
+
 def test_bad_word_is_domain_error():
     code, _ = run(["equal", "-m", "3", "s^2", "t"])
     assert code == 1

@@ -94,6 +94,40 @@ def test_load_error_messages_are_json_first():
         load_diagram(json.dumps({"triangles": []}))
 
 
+def _hexstar_with(**fields):
+    data = json.loads(dump_diagram(hexstar()))
+    data.update(fields)
+    return json.dumps(data)
+
+
+def _hexstar_types_with(vertex, value):
+    types = json.loads(dump_diagram(hexstar()))["types"]
+    assert types[vertex] == 1
+    types[vertex] = value
+    return _hexstar_with(types=types)
+
+
+MALFORMED_SCHEMAS = {
+    "top-level-list": "[]",
+    "types-list": _hexstar_with(types=[1, 2]),
+    "types-bool": _hexstar_with(types=True),
+    "type-str": _hexstar_with(types={"P0": "x"}),
+    "type-float": _hexstar_types_with("v0", 1.7),  # int() would truncate it to 1
+    "type-bool": _hexstar_types_with("v0", True),
+    "triangles-str": _hexstar_with(triangles="P0v0v1"),
+    "triangle-str": _hexstar_with(triangles=["P0v", "P0w"]),
+    "triangle-short": _hexstar_with(triangles=[["P0", "v0"]]),
+    "boundary-str": _hexstar_with(boundary="v0v1"),
+    "transitions-str": _hexstar_with(transitions="v0"),
+}
+
+
+@pytest.mark.parametrize("text", MALFORMED_SCHEMAS.values(), ids=MALFORMED_SCHEMAS.keys())
+def test_load_rejects_malformed_schema(text):
+    with pytest.raises(DiagramError, match="schema|three vertices"):
+        load_diagram(text)
+
+
 # -- polygonalization --------------------------------------------------------------
 
 def test_polygonalize_hexstar():

@@ -1,10 +1,13 @@
 import itertools
+import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from artinkit import (
     PreconditionError,
     Word,
+    WordError,
     alt_product,
     alternating_equality,
     alternating_equality_closed_form,
@@ -79,6 +82,15 @@ def test_words_equal_examples():
 def test_words_equal_m2_abelian():
     assert words_equal(2, P("s t"), P("t s"))
     assert not words_equal(2, P("s"), P("t"))
+
+
+def test_words_equal_rejects_other_generators():
+    # m = 2 checks the alphabet itself; m >= 3 leaves it to garside_nf
+    for m in (2, 3):
+        with pytest.raises(WordError):
+            words_equal(m, P("s r"), P("s"))
+        with pytest.raises(WordError):
+            words_equal(m, P("s"), P("r"))
 
 
 def test_oracle_examples():
@@ -336,3 +348,62 @@ def test_alternating_closed_form_matches_burau_m3():
                     _burau(alt_product(y, x, k))
                 )
                 assert equal == alternating_equality_closed_form(3, mm, ll, k), (mm, ll, k)
+
+
+# -- long words: the normal form against the oracle and the Burau matrices -------
+
+def _random_word(rng, length, p_inverse):
+    """A freely reduced word of exactly `length` letters."""
+    letters = []
+    while len(letters) < length:
+        letter = (rng.choice("st"), -1 if rng.random() < p_inverse else 1)
+        if not letters or letters[-1] != (letter[0], -letter[1]):
+            letters.append(letter)
+    return Word(letters)
+
+
+def _nf_pair(rng, m, w1):
+    """w1 with a conjugated relator inserted (equal to w1), and that word with
+    one letter inverted, which moves the exponent sum by 2 (not equal to w1)."""
+    conj = _random_word(rng, rng.randint(0, 3), 0.5)
+    relator = alt_product(S, T, m) * alt_product(T, S, m).inverse()
+    at = rng.randrange(len(w1) + 1)
+    equal = Word(w1.letters[:at]) * relator.conjugate_by(conj) * Word(w1.letters[at:])
+    letters = list(equal.letters)
+    i = rng.randrange(len(letters))
+    letters[i] = (letters[i][0], -letters[i][1])
+    return equal, Word(letters)
+
+
+def _nf_key(m, w):
+    nf = garside_nf(m, w)
+    return nf.simples, nf.delta_power
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    st.integers(3, 9),
+    st.integers(1000, 10000),
+    st.floats(0.0, 0.5),
+    st.integers(0, 2**32 - 1),
+)
+def test_nf_long_words_against_oracle(m, length, p_inverse, seed):
+    rng = random.Random(seed)
+    w1 = _random_word(rng, length, p_inverse)
+    equal, unequal = _nf_pair(rng, m, w1)
+    nf = garside_nf(m, w1)
+    for w2, expected in ((equal, True), (unequal, False)):
+        same_nf = (nf.simples, nf.delta_power) == _nf_key(m, w2)
+        assert same_nf == (oracle_key(m, w1) == oracle_key(m, w2)) == expected
+    assert garside_nf(m, nf.word()) == nf
+
+
+def test_nf_long_words_match_burau_m3():
+    rng = random.Random(3)
+    for p_inverse in (0.0, 0.25, 0.5):
+        w1 = _random_word(rng, 300, p_inverse)
+        equal, unequal = _nf_pair(rng, 3, w1)
+        b1 = _mkey(_burau(w1))
+        assert _mkey(_burau(garside_nf(3, w1).word())) == b1
+        for w2 in (equal, unequal):
+            assert (_nf_key(3, w1) == _nf_key(3, w2)) == (_mkey(_burau(w2)) == b1)
