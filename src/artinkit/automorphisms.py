@@ -20,7 +20,7 @@ import hashlib
 import itertools
 from dataclasses import dataclass
 
-from .decomposition import chunks, cut_vertices, separating_edges
+from .decomposition import _separating_edges_unchecked, chunks, cut_vertices
 from .dihedral import words_equal
 from .errors import HypothesisError, PreconditionError, WordError
 from .presentation import (
@@ -295,7 +295,7 @@ def twist_family(g: PresentationGraph, sides: str = "rooted") -> TwistFamily:
     if sides not in ("rooted", "all"):
         raise PreconditionError("sides must be 'rooted' or 'all'")
     root: frozenset[str] | None = None
-    if sides == "rooted" and g.rank() >= 3 and separating_edges(g):
+    if sides == "rooted" and g.rank() >= 3 and _separating_edges_unchecked(g):
         root = frozenset(chunks(g)[0].vertices)
 
     members = [g]
@@ -306,7 +306,8 @@ def twist_family(g: PresentationGraph, sides: str = "rooted") -> TwistFamily:
     while queue:
         i = queue.pop(0)
         cur = members[i]
-        for e in separating_edges(cur):
+        # twists keep the graph connected and without cut-vertex
+        for e in _separating_edges_unchecked(cur):
             for side in _twist_sides(cur, e, root):
                 twisted, mp = edge_twist(cur, e, side)
                 try:
@@ -417,7 +418,7 @@ def decide_out_finite(g: PresentationGraph) -> Verdict:
     cut = cut_vertices(g)
     if cut:
         return Verdict(False, f"cut-vertex {cut[0]}", cls, checked)
-    sep = separating_edges(g)
+    sep = _separating_edges_unchecked(g)  # connected, no cut-vertex: checked above
     if sep:
         return Verdict(False, f"separating edge ({sep[0][0]},{sep[0][1]})", cls, checked)
     return Verdict(

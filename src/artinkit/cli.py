@@ -99,11 +99,10 @@ def _cmd_analyze(args, rep: Report) -> None:
         "separating edges", " ".join(_edge_str(e) for e in dc.separating_edges(g)) or "none"))
 
     def do_chunks():
-        cs = dc.chunks(g)
-        rep.kv("chunks", len(cs))
-        for i, c in enumerate(cs):
-            rep.kv(f"chunk{i}", ",".join(c.vertices))
         t = dc.chunk_tree(g)
+        rep.kv("chunks", len(t.chunk_nodes))
+        for i, c in enumerate(t.chunk_nodes):
+            rep.kv(f"chunk{i}", ",".join(c.vertices))
         rep.kv("chunk tree nodes", t.node_count())
         rep.kv("chunk tree incidences", len(t.incidence))
         rep.check("chunk_tree_is_tree", t.is_tree())

@@ -28,8 +28,10 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import DiagramError, PreconditionError
+from .presentation import connected_components
 
 FULL_TURN = 12  # 2*pi in units of pi/6
 ANGLE_UNITS = {0: 2, 1: 3, 2: 1}
@@ -51,7 +53,16 @@ class DiscDiagram:
     basepoint: str | None = None
 
     def vertex_names(self) -> tuple[str, ...]:
-        return tuple(sorted({v for t in self.triangles for v in t}))
+        return tuple(sorted(self.vertex_triangles))
+
+    @cached_property
+    def vertex_triangles(self) -> dict[str, tuple[Triangle, ...]]:
+        """Each vertex's triangles in diagram order; cached, as `triangles` is immutable."""
+        out: dict[str, list[Triangle]] = {}
+        for t in self.triangles:
+            for v in t:
+                out.setdefault(v, []).append(t)
+        return {v: tuple(ts) for v, ts in out.items()}
 
     def edge_triangles(self) -> dict[Edge, list[Triangle]]:
         out: dict[Edge, list[Triangle]] = {}
@@ -65,14 +76,6 @@ class DiscDiagram:
         return frozenset(_edge(self.boundary[i], self.boundary[(i + 1) % n]) for i in range(n))
 
 
-def _canonical_cycle(seq: list[str]) -> tuple[str, ...]:
-    i = seq.index(min(seq))
-    rot = seq[i:] + seq[:i]
-    if len(rot) > 2 and rot[1] > rot[-1]:
-        rot = [rot[0]] + rot[:0:-1]
-    return tuple(rot)
-
-
 def validate(d: DiscDiagram) -> None:
     """Check every diagram invariant; the first violated one is reported."""
     if not d.triangles:
@@ -80,7 +83,8 @@ def validate(d: DiscDiagram) -> None:
     for t in d.triangles:
         if len(set(t)) != 3:
             raise DiagramError(f"triangle {t} has repeated vertices")
-    names = {v for t in d.triangles for v in t}
+    incident = d.vertex_triangles
+    names = set(incident)
     for v in names:
         if v not in d.types:
             raise DiagramError(f"vertex {v!r} has no type")
@@ -100,20 +104,7 @@ def validate(d: DiscDiagram) -> None:
         if len(et[e]) > 2:
             raise DiagramError(f"not a disc: edge {e} lies in {len(et[e])} triangles")
 
-    # connectivity of the underlying complex
-    adj: dict[str, set[str]] = {v: set() for v in names}
-    for e in et:
-        adj[e[0]].add(e[1])
-        adj[e[1]].add(e[0])
-    seen = set()
-    stack = [next(iter(names))]
-    while stack:
-        v = stack.pop()
-        if v in seen:
-            continue
-        seen.add(v)
-        stack.extend(adj[v] - seen)
-    if seen != names:
+    if len(connected_components(names, lambda v: (x for t in incident[v] for x in t))) != 1:
         raise DiagramError("not a disc: complex is disconnected")
 
     v_count, e_count, t_count = len(names), len(et), len(d.triangles)
@@ -126,23 +117,14 @@ def validate(d: DiscDiagram) -> None:
     boundary_set = set(d.boundary)
     for v in sorted(names):
         link: dict[str, set[str]] = {}
-        for t in d.triangles:
-            if v in t:
-                a, b = (x for x in t if x != v)
-                link.setdefault(a, set()).add(b)
-                link.setdefault(b, set()).add(a)
+        for t in incident[v]:
+            a, b = (x for x in t if x != v)
+            link.setdefault(a, set()).add(b)
+            link.setdefault(b, set()).add(a)
         degs = [len(ns) for ns in link.values()]
         if any(deg > 2 for deg in degs):
             raise DiagramError(f"not a disc: link of {v!r} branches")
-        comp = set()
-        stack = [next(iter(link))]
-        while stack:
-            x = stack.pop()
-            if x in comp:
-                continue
-            comp.add(x)
-            stack.extend(link[x] - comp)
-        if comp != set(link):
+        if len(connected_components(link, link.__getitem__)) != 1:
             raise DiagramError(f"not a disc: link of {v!r} is disconnected")
         ends = sum(1 for deg in degs if deg == 1)
         if ends not in (0, 2):
@@ -201,12 +183,13 @@ def load_diagram(text: str) -> DiscDiagram:
     for t in raw["triangles"]:
         if not isinstance(t, list) or len(t) != 3:
             raise DiagramError(f"triangle {t} is not a list of three vertices")
-    triangles = tuple(tuple(str(v) for v in t) for t in raw["triangles"])
-    boundary = tuple(str(v) for v in raw["boundary"])
-    transitions = frozenset(str(v) for v in raw["transitions"])
     bp = data.get("basepoint")
-    basepoint = None if bp is None else str(bp)
-    d = DiscDiagram(triangles, types, boundary, transitions, basepoint)
+    names = [v for t in raw["triangles"] for v in t] + raw["boundary"] + raw["transitions"]
+    for v in names + ([] if bp is None else [bp]):
+        if not isinstance(v, str):
+            raise DiagramError(f"bad diagram schema: vertex name {json.dumps(v)} is not a string")
+    triangles = tuple(tuple(t) for t in raw["triangles"])
+    d = DiscDiagram(triangles, types, tuple(raw["boundary"]), frozenset(raw["transitions"]), bp)
     validate(d)
     return d
 
@@ -249,11 +232,10 @@ def polygonalize(d: DiscDiagram) -> PolygonalDiagram:
     polygons = []
     for c in sorted(v for v in d.vertex_names() if d.types[v] == 0):
         link: dict[str, list[str]] = {}
-        for t in d.triangles:
-            if c in t:
-                a, b = (x for x in t if x != c)
-                link.setdefault(a, []).append(b)
-                link.setdefault(b, []).append(a)
+        for t in d.vertex_triangles[c]:
+            a, b = (x for x in t if x != c)
+            link.setdefault(a, []).append(b)
+            link.setdefault(b, []).append(a)
         start = min(link)
         prev, cur = None, start
         cycle = []
@@ -308,29 +290,21 @@ def curvatures(d: DiscDiagram) -> CurvatureReport:
     """Exact per-vertex and per-polygon curvature with the n_v dichotomy audit."""
     validate(d)
     boundary_set = set(d.boundary)
-    tri_count: dict[str, int] = {}
-    centers_of: dict[str, set[str]] = {}
-    for t in d.triangles:
-        c = next(v for v in t if d.types[v] == 0)
-        for v in t:
-            tri_count[v] = tri_count.get(v, 0) + 1
-            if d.types[v] != 0:
-                centers_of.setdefault(v, set()).add(c)
+    incident = d.vertex_triangles
+    names = d.vertex_names()
 
     vertex_kappa: dict[str, int] = {}
     n_polygons: dict[str, int] = {}
-    for v in sorted(d.vertex_names()):
+    for v in names:
         ty = d.types[v]
         if ty == 0:
             continue
         base = 6 if v in boundary_set else FULL_TURN
-        vertex_kappa[v] = base - ANGLE_UNITS[ty] * tri_count[v]
-        n_polygons[v] = len(centers_of[v])
+        vertex_kappa[v] = base - ANGLE_UNITS[ty] * len(incident[v])
+        n_polygons[v] = len({c for t in incident[v] for c in t if d.types[c] == 0})
 
     polygon_kappa = {
-        c: FULL_TURN - ANGLE_UNITS[0] * tri_count[c]
-        for c in sorted(d.vertex_names())
-        if d.types[c] == 0
+        c: FULL_TURN - ANGLE_UNITS[0] * len(incident[c]) for c in names if d.types[c] == 0
     }
 
     transition_class = {v: _classify_marked(n_polygons[v]) for v in sorted(d.transitions)}
@@ -592,13 +566,29 @@ def _fresh_indices(d: DiscDiagram, prefix: str) -> int:
     return best + 1
 
 
+def _star(d: DiscDiagram, path: tuple[str, ...], k: int):
+    """The fresh rim, types and triangles of a fresh 2k-gon glued along the
+    boundary path `path`.  Its cycle is `path` then the fresh rim; a fresh
+    vertex at cycle position p takes the type of the path's vertex p % 2."""
+    if k < 3:
+        raise PreconditionError("a polygon needs at least 3 type-2 vertices (k >= 3)")
+    c = f"P{_fresh_indices(d, 'P')}"
+    base = _fresh_indices(d, "v")
+    fresh = tuple(f"v{base + i}" for i in range(2 * k - len(path)))
+    cycle = path + fresh
+    types = dict(d.types)
+    types[c] = 0
+    for p in range(len(path), 2 * k):
+        types[cycle[p]] = d.types[cycle[p % 2]]
+    triangles = d.triangles + tuple((c, cycle[i], cycle[(i + 1) % (2 * k)]) for i in range(2 * k))
+    return fresh, types, triangles
+
+
 def attach_star(d: DiscDiagram, u: str, v: str, k: int) -> DiscDiagram:
     """Glue a fresh 2k-gon along the boundary edge (u, v).
 
     The result is again a disc; all previously marked data is preserved.
     """
-    if k < 3:
-        raise PreconditionError("a polygon needs at least 3 type-2 vertices (k >= 3)")
     n = len(d.boundary)
     pos = None
     forward = True
@@ -614,36 +604,12 @@ def attach_star(d: DiscDiagram, u: str, v: str, k: int) -> DiscDiagram:
         raise PreconditionError(f"({u},{v}) is not a boundary edge")
     if {d.types[u], d.types[v]} != {1, 2}:
         raise PreconditionError("can only glue along a type-1/type-2 edge")
-
-    c = f"P{_fresh_indices(d, 'P')}"
-    base = _fresh_indices(d, "v")
-    fresh = [f"v{base + i}" for i in range(2 * k - 2)]
-    cycle = [u, v] + fresh
-    types = dict(d.types)
-    types[c] = 0
-    for i, w in enumerate(fresh):
-        types[w] = d.types[u] if i % 2 == 0 else d.types[v]
-    triangles = list(d.triangles)
-    for i in range(2 * k):
-        triangles.append((c, cycle[i], cycle[(i + 1) % (2 * k)]))
-
-    insert = list(reversed(fresh))
-    bnd = list(d.boundary)
-    if forward:
-        # boundary ... u v ... ; new path u fresh[-1] ... fresh[0] v
-        at = (pos + 1) % n
-        if at == 0:
-            bnd = bnd + insert
-        else:
-            bnd = bnd[:at] + insert + bnd[at:]
-    else:
-        # boundary ... v u ...; new path v fresh[0] ... fresh[-1] u
-        at = (pos + 1) % n
-        if at == 0:
-            bnd = bnd + fresh
-        else:
-            bnd = bnd[:at] + fresh + bnd[at:]
-    return DiscDiagram(tuple(triangles), types, tuple(bnd), d.transitions, d.basepoint)
+    fresh, types, triangles = _star(d, (u, v), k)
+    # boundary ... u v ... becomes u fresh[-1] ... fresh[0] v;
+    # boundary ... v u ... becomes v fresh[0] ... fresh[-1] u
+    insert = fresh[::-1] if forward else fresh
+    bnd = d.boundary[: pos + 1] + insert + d.boundary[pos + 1 :]
+    return DiscDiagram(triangles, types, bnd, d.transitions, d.basepoint)
 
 
 def attach_star_two(d: DiscDiagram, u: str, w: str, v: str, k: int) -> DiscDiagram:
@@ -652,8 +618,6 @@ def attach_star_two(d: DiscDiagram, u: str, w: str, v: str, k: int) -> DiscDiagr
     The pivot w becomes interior when these were its last boundary edges.
     Gluing across a type-1 pivot leaves the new polygon with an inner path
     whose first and last type-2 vertices are distinct (u and v)."""
-    if k < 3:
-        raise PreconditionError("a polygon needs at least 3 type-2 vertices (k >= 3)")
     n = len(d.boundary)
     pos = None
     forward = True
@@ -667,37 +631,12 @@ def attach_star_two(d: DiscDiagram, u: str, w: str, v: str, k: int) -> DiscDiagr
             break
     if pos is None:
         raise PreconditionError(f"({u},{w},{v}) is not a boundary path")
-
-    c = f"P{_fresh_indices(d, 'P')}"
-    base = _fresh_indices(d, "v")
-    fresh = [f"v{base + i}" for i in range(2 * k - 3)]
-    cycle = [u, w, v] + fresh
-    types = dict(d.types)
-    types[c] = 0
-    for i, x in enumerate(fresh):
-        types[x] = d.types[w] if i % 2 == 0 else d.types[v]
-    triangles = list(d.triangles)
-    for i in range(2 * k):
-        triangles.append((c, cycle[i], cycle[(i + 1) % (2 * k)]))
-
-    bnd = list(d.boundary)
-    if forward:
-        insert = list(reversed(fresh))
-        first = pos  # index of u
-    else:
-        insert = list(fresh)
-        first = pos  # index of v
-    # replace the middle vertex w by the new rim between the two outer vertices
-    out = []
-    i = 0
-    while i < n:
-        out.append(bnd[(first + i) % n])
-        if i == 0:
-            out.extend(insert)
-            i += 2  # skip w
-        else:
-            i += 1
-    return DiscDiagram(tuple(triangles), types, tuple(out), d.transitions, d.basepoint)
+    fresh, types, triangles = _star(d, (u, w, v), k)
+    # the boundary, rotated to start at the glued path, with the pivot w
+    # replaced by the new rim between the two outer vertices
+    insert = fresh[::-1] if forward else fresh
+    rot = d.boundary[pos:] + d.boundary[:pos]
+    return DiscDiagram(triangles, types, rot[:1] + insert + rot[2:], d.transitions, d.basepoint)
 
 
 def with_markings(d: DiscDiagram, transitions, basepoint: str | None) -> DiscDiagram:

@@ -16,7 +16,7 @@ import os
 from dataclasses import dataclass
 
 from .errors import CapExceeded, PreconditionError, SearchExhausted
-from .presentation import Edge, PresentationGraph
+from .presentation import Edge, PresentationGraph, connected_components
 
 DEFAULT_CYCLE_CAP = 100_000
 
@@ -41,11 +41,7 @@ def separating_edges(g: PresentationGraph) -> tuple[Edge, ...]:
     _require_connected(g, "separating_edges")
     if cut_vertices(g):
         raise PreconditionError("separating_edges needs a graph without cut-vertex")
-    out = []
-    for u, v in g.edge_pairs():
-        if len(g.without([u, v]).components()) >= 2:
-            out.append((u, v))
-    return tuple(out)
+    return _separating_edges_unchecked(g)
 
 
 def _separating_edges_unchecked(g: PresentationGraph) -> tuple[Edge, ...]:
@@ -93,31 +89,22 @@ class ChunkTree:
         return len(self.chunk_nodes) + len(self.edge_nodes)
 
     def is_tree(self) -> bool:
+        """n - 1 incidences joining the n nodes into one component."""
         n = self.node_count()
         if len(self.incidence) != n - 1:
             return False
-        adj: dict[tuple[str, int], set] = {}
+        adj: dict[tuple[str, int], list] = {}
         for e, c in self.incidence:
-            adj.setdefault(("e", e), set()).add(("c", c))
-            adj.setdefault(("c", c), set()).add(("e", e))
+            adj.setdefault(("e", e), []).append(("c", c))
+            adj.setdefault(("c", c), []).append(("e", e))
         nodes = [("c", i) for i in range(len(self.chunk_nodes))]
         nodes += [("e", i) for i in range(len(self.edge_nodes))]
-        if not nodes:
-            return True
-        seen = {nodes[0]}
-        stack = [nodes[0]]
-        while stack:
-            x = stack.pop()
-            for y in adj.get(x, ()):
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        return len(seen) == n
+        return len(connected_components(nodes, lambda x: adj.get(x, ()))) == 1
 
 
 def chunk_tree(g: PresentationGraph) -> ChunkTree:
     cs = chunks(g)
-    seps = separating_edges(g)
+    seps = _separating_edges_unchecked(g)  # chunks has checked the preconditions
     incidence = []
     for ei, (a, b) in enumerate(seps):
         for ci, c in enumerate(cs):
@@ -225,25 +212,12 @@ def cycle_graph(g: PresentationGraph, cap: int | None = None) -> InducedCycleGra
         for j in range(i + 1, len(cycles)):
             if edge_sets[i] & edge_sets[j]:
                 adjacency.append((i, j))
-    adj: dict[int, set[int]] = {i: set() for i in range(len(cycles))}
+    adj: list[list[int]] = [[] for _ in cycles]
     for i, j in adjacency:
-        adj[i].add(j)
-        adj[j].add(i)
-    seen: set[int] = set()
-    comps = []
-    for i in range(len(cycles)):
-        if i in seen:
-            continue
-        comp, stack = set(), [i]
-        while stack:
-            x = stack.pop()
-            if x in comp:
-                continue
-            comp.add(x)
-            stack.extend(adj[x] - comp)
-        seen |= comp
-        comps.append(tuple(sorted(comp)))
-    return InducedCycleGraph(cycles, tuple(adjacency), tuple(sorted(comps)))
+        adj[i].append(j)
+        adj[j].append(i)
+    comps = connected_components(range(len(cycles)), adj.__getitem__)
+    return InducedCycleGraph(cycles, tuple(adjacency), comps)
 
 
 # ---------------------------------------------------------------------------

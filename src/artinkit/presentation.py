@@ -33,10 +33,31 @@ def _norm_edge(u: str, v: str) -> Edge:
     return (u, v) if u <= v else (v, u)
 
 
+def connected_components(nodes, neighbors) -> tuple[tuple, ...]:
+    """The connected components of the graph on `nodes` whose edges join each
+    node to the nodes of `neighbors(node)`; each component sorted, and the
+    components in sorted order."""
+    seen = set()
+    comps = []
+    for start in nodes:
+        if start in seen:
+            continue
+        seen.add(start)
+        comp, stack = [start], [start]
+        while stack:
+            for n in neighbors(stack.pop()):
+                if n not in seen:
+                    seen.add(n)
+                    comp.append(n)
+                    stack.append(n)
+        comps.append(tuple(sorted(comp)))
+    return tuple(sorted(comps))
+
+
 class PresentationGraph:
     """Immutable labelled simplicial graph."""
 
-    __slots__ = ("vertices", "_labels")
+    __slots__ = ("vertices", "_labels", "_adjacency")
 
     def __init__(self, vertices, edges):
         """vertices: iterable of names; edges: iterable of (u, v, label)."""
@@ -58,8 +79,15 @@ class PresentationGraph:
             if key in labels:
                 raise GraphError(f"duplicate edge ({key[0]},{key[1]})")
             labels[key] = m
+        adjacency: dict[str, list[str]] = {v: [] for v in vs}
+        for u, v in labels:
+            adjacency[u].append(v)
+            adjacency[v].append(u)
         object.__setattr__(self, "vertices", tuple(vs))
         object.__setattr__(self, "_labels", labels)
+        object.__setattr__(
+            self, "_adjacency", {v: tuple(sorted(ns)) for v, ns in adjacency.items()}
+        )
 
     def __setattr__(self, *_):
         raise AttributeError("PresentationGraph is immutable")
@@ -82,7 +110,7 @@ class PresentationGraph:
             raise GraphError(f"no edge between {u!r} and {v!r}") from None
 
     def neighbors(self, v: str) -> tuple[str, ...]:
-        return tuple(sorted(b if a == v else a for a, b in self._labels if v in (a, b)))
+        return self._adjacency.get(v, ())
 
     def degree(self, v: str) -> int:
         return len(self.neighbors(v))
@@ -118,21 +146,7 @@ class PresentationGraph:
         return self.induced(set(self.vertices) - drop)
 
     def components(self) -> tuple[tuple[str, ...], ...]:
-        seen: set[str] = set()
-        comps = []
-        for start in self.vertices:
-            if start in seen:
-                continue
-            stack, comp = [start], set()
-            while stack:
-                v = stack.pop()
-                if v in comp:
-                    continue
-                comp.add(v)
-                stack.extend(n for n in self.neighbors(v) if n not in comp)
-            seen |= comp
-            comps.append(tuple(sorted(comp)))
-        return tuple(sorted(comps))
+        return connected_components(self.vertices, self._adjacency.__getitem__)
 
     def is_connected(self) -> bool:
         return len(self.components()) <= 1

@@ -152,6 +152,18 @@ def test_malformed_diagram_is_domain_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: bad diagram schema")
 
 
+def test_non_string_vertex_name_is_domain_error(tmp_path, capsys):
+    bad = json.loads((FIXTURES / "hexstar.diagram").read_text())
+    bad["boundary"][0] = None
+    path = tmp_path / "bad.diagram"
+    path.write_text(json.dumps(bad))
+    code, text = run(["curvature", str(path)])
+    assert (code, text) == (1, "")
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad diagram schema")
+    assert "Traceback" not in err
+
+
 def test_bad_word_is_domain_error():
     code, _ = run(["equal", "-m", "3", "s^2", "t"])
     assert code == 1

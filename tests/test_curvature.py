@@ -63,6 +63,21 @@ def test_reject_two_discs_sharing_a_vertex():
         validate(bad)
 
 
+def test_reject_disc_plus_disjoint_torus():
+    # A 3x3 grid torus has chi 0 and cycle links, so beside a disc the total
+    # chi is 1 and every link passes: only the connectivity check catches it.
+    d = hexstar()
+    types = dict(d.types)
+    tris = list(d.triangles)
+    name = {(i, j): f"t{i}{j}" for i in range(3) for j in range(3)}
+    for (i, j), x in name.items():
+        types[x] = (i + j) % 3
+        right, up, diag = name[(i + 1) % 3, j], name[i, (j + 1) % 3], name[(i + 1) % 3, (j + 1) % 3]
+        tris += [(x, right, diag), (x, up, diag)]
+    with pytest.raises(DiagramError, match="complex is disconnected"):
+        validate(DiscDiagram(tuple(tris), types, d.boundary))
+
+
 def test_reject_bad_typing():
     d = hexstar()
     types = dict(d.types)
@@ -119,6 +134,18 @@ MALFORMED_SCHEMAS = {
     "triangle-short": _hexstar_with(triangles=[["P0", "v0"]]),
     "boundary-str": _hexstar_with(boundary="v0v1"),
     "transitions-str": _hexstar_with(transitions="v0"),
+    # vertex names are JSON strings: null, numbers and lists are not names
+    # with the type keyed "None", str(None) would have made this a valid disc
+    "triangle-null-name": _hexstar_with(
+        triangles=[[None if v == "P0" else v for v in t] for t in hexstar().triangles],
+        types={("None" if v == "P0" else v): ty for v, ty in hexstar().types.items()},
+    ),
+    "triangle-int-name": _hexstar_with(triangles=[[0, "v0", "v1"]]),
+    "boundary-list-name": _hexstar_with(boundary=[["v0"]] + list(hexstar().boundary[1:])),
+    "boundary-int-name": _hexstar_with(boundary=[0, 1, 2]),
+    "transitions-int-name": _hexstar_with(transitions=[1]),
+    "basepoint-int": _hexstar_with(basepoint=1),
+    "basepoint-list": _hexstar_with(basepoint=["v1"]),
 }
 
 
@@ -315,6 +342,29 @@ def test_no_diagram_passes_every_redistribution_check():
         red = redistribute(d)
         assert red.flagged
         assert any(not c.passed for c in red.checks)
+
+
+def test_star_builders_splice_the_boundary():
+    d = hexstar()  # boundary v0 .. v5
+    # gluing along one edge inserts the fresh rim between its endpoints,
+    # keeping the boundary's start
+    assert attach_star(d, "v0", "v1", 3).boundary == (
+        "v0", "v9", "v8", "v7", "v6", "v1", "v2", "v3", "v4", "v5")
+    assert attach_star(d, "v1", "v0", 3).boundary == (
+        "v0", "v6", "v7", "v8", "v9", "v1", "v2", "v3", "v4", "v5")
+    assert attach_star(d, "v5", "v0", 3).boundary == (
+        "v0", "v1", "v2", "v3", "v4", "v5", "v9", "v8", "v7", "v6")
+    # gluing along two edges drops the pivot and starts at the glued path
+    assert attach_star_two(d, "v2", "v3", "v4", 3).boundary == (
+        "v2", "v8", "v7", "v6", "v4", "v5", "v0", "v1")
+    assert attach_star_two(d, "v4", "v3", "v2", 4).boundary == (
+        "v2", "v6", "v7", "v8", "v9", "v10", "v4", "v5", "v0", "v1")
+    e = attach_star_two(d, "v5", "v0", "v1", 3)
+    assert e.boundary == ("v5", "v8", "v7", "v6", "v1", "v2", "v3", "v4")
+    assert [e.types[v] for v in ("P1", "v6", "v7", "v8")] == [0, 1, 2, 1]
+    assert e.triangles[-6:] == (
+        ("P1", "v5", "v0"), ("P1", "v0", "v1"), ("P1", "v1", "v6"),
+        ("P1", "v6", "v7"), ("P1", "v7", "v8"), ("P1", "v8", "v5"))
 
 
 def test_attach_star_two_makes_pivot_interior():

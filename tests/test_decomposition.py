@@ -4,6 +4,7 @@ import random
 import pytest
 
 from artinkit import (
+    ChunkTree,
     PreconditionError,
     PresentationGraph,
     SearchExhausted,
@@ -235,6 +236,15 @@ def test_chunk_tree_text_roundtrips_through_grammar():
     assert len(g.edge_pairs()) == 6
 
 
+def test_chunk_tree_is_tree_needs_one_component():
+    cs = (complete_graph("abc"), complete_graph("bcd"))
+    # three nodes and two incidences, but the second chunk is never reached
+    duplicated = ChunkTree(cs, (("b", "c"),), ((0, 0), (0, 0)))
+    assert not duplicated.is_tree()
+    assert ChunkTree(cs, (("b", "c"),), ((0, 0), (0, 1))).is_tree()
+    assert not ChunkTree(cs, (("b", "c"),), ((0, 0),)).is_tree()
+
+
 # -- induced cycles --------------------------------------------------------------------
 
 def test_induced_cycles_examples():
@@ -293,6 +303,26 @@ def test_cycle_graph_connected_without_cut_vertex():
     for _ in range(60):
         g = random_biconnected(rng, rng.randint(3, 8))
         assert cycle_graph(g).is_connected()
+
+
+def test_cycle_graph_components_match_networkx():
+    import networkx as nx
+
+    rng = random.Random(67)
+    two_tri = PresentationGraph(
+        "abcdef",
+        [("a", "b", 3), ("b", "c", 3), ("a", "c", 3),
+         ("d", "e", 3), ("e", "f", 3), ("d", "f", 3)],
+    )
+    graphs = [two_tri, triforce_graph(), cycle_pg("abcde")]
+    graphs += [random_connected(rng, rng.randint(3, 8)) for _ in range(40)]
+    for g in graphs:
+        cg = cycle_graph(g)
+        G = nx.Graph(list(cg.adjacency))
+        G.add_nodes_from(range(len(cg.cycles)))
+        assert cg.components == tuple(
+            sorted(tuple(sorted(c)) for c in nx.connected_components(G))
+        )
 
 
 # -- chain witness ----------------------------------------------------------------------

@@ -69,6 +69,41 @@ def test_roundtrip_random_graphs(seed):
     assert parse_graph(g.serialize()).serialize() == g.serialize()
 
 
+# -- adjacency and connectivity ---------------------------------------------------
+
+def _assert_matches_networkx(g: PresentationGraph) -> None:
+    import networkx as nx
+
+    G = nx.Graph([(u, v) for u, v, _ in g.edges()])
+    G.add_nodes_from(g.vertices)
+    for v in g.vertices:
+        assert g.neighbors(v) == tuple(sorted(G.neighbors(v)))
+        assert g.degree(v) == G.degree(v)
+    assert g.components() == tuple(
+        sorted(tuple(sorted(c)) for c in nx.connected_components(G))
+    )
+    assert g.is_connected() == (len(g.vertices) <= 1 or nx.is_connected(G))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 10),
+    st.sets(st.tuples(st.integers(0, 9), st.integers(0, 9)), max_size=20),
+    st.sets(st.integers(0, 9)),
+)
+def test_adjacency_and_components_match_networkx(n, pairs, drop):
+    # sparse random edge sets leave isolated vertices and several components
+    names = [f"v{i}" for i in range(n)]
+    edges = {(names[min(a, b)], names[max(a, b)]) for a, b in pairs if a != b and max(a, b) < n}
+    g = PresentationGraph(names, [(u, v, 3) for u, v in sorted(edges)])
+    _assert_matches_networkx(g)
+    dropped = [names[i] for i in sorted(drop) if i < n]
+    _assert_matches_networkx(g.without(dropped))
+    _assert_matches_networkx(g.induced(dropped))
+    assert g.neighbors("absent") == ()
+    assert g.degree("absent") == 0
+
+
 # -- classification -------------------------------------------------------------
 
 def test_classify_flag_examples():
