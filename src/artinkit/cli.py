@@ -9,6 +9,7 @@ codes: 0 success, 1 domain error, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -153,8 +154,8 @@ def _cmd_tree(args, rep: Report) -> None:
     rep.kv("simplices", len(ball.vertices))
     rep.kv("edges", len(ball.edges))
     for i, node in enumerate(ball.vertices):
-        nbrs = sorted(b if a == i else a for a, b in ball.edges if i in (a, b))
-        rep.kv(f"node{i}", f"[{node.tag}] depth={node.depth} -> {' '.join(map(str, nbrs))}")
+        nbrs = " ".join(map(str, ball.neighbors[i]))
+        rep.kv(f"node{i}", f"[{node.tag}] depth={node.depth} -> {nbrs}")
 
 
 def _parse_axis(text: str) -> dt.AxisDescription:
@@ -272,6 +273,8 @@ def _cmd_self_embed(args, rep: Report) -> None:
         rep.kv(v, str(mp.assignment[v]))
 
 
+# Built on the first `run`, not at import, and reused by every later call.
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="artinkit", description=__doc__)
     p.add_argument("--json", action="store_true", help="emit the report as JSON")

@@ -33,10 +33,11 @@ y = st).  Equality in those free products is decided by syllable reduction.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .errors import PreconditionError, WordError
-from .words import Word, alt_product, generator, parse_word
+from .words import Letter, Word, alt_product, generator, parse_word
 
 __all__ = [
     "GarsideNormalForm",
@@ -97,19 +98,15 @@ class GarsideNormalForm:
         return f"[{'|'.join(self.simples)}] Δ^{self.delta_power}"
 
 
-def garside_nf(m: int, w: Word) -> GarsideNormalForm:
-    """The unique canonical form of the element represented by w (m >= 3)."""
-    if m < 3:
-        raise PreconditionError("garside_nf needs m >= 3")
-    _check_alphabet(w)
+def _extend(m: int, stack: list[tuple[str, int]], power: int, letters: Iterable[Letter]) -> int:
+    """Right-multiply f_1..f_k * D^power by letters; return the new power.
 
-    # The prefix read so far is f_1..f_k * D^power with f_1..f_k in normal form,
-    # each factor stored as (first letter, length).  D^power moved right past
-    # the next factor conjugates it by tau^power.
+    The factors f_1..f_k are in normal form, each stored in `stack` as
+    (first letter, length); `stack` is updated in place.  D^power moved right
+    past the next factor conjugates it by tau^power.
+    """
     odd = m % 2 == 1
-    power = 0
-    stack: list[tuple[str, int]] = []
-    for name, sign in w:
+    for name, sign in letters:
         if sign == 1:
             first, length = name, 1
         else:
@@ -136,6 +133,16 @@ def garside_nf(m: int, w: Word) -> GarsideNormalForm:
                 break
         if length:
             stack.append((first, length))
+    return power
+
+
+def garside_nf(m: int, w: Word) -> GarsideNormalForm:
+    """The unique canonical form of the element represented by w (m >= 3)."""
+    if m < 3:
+        raise PreconditionError("garside_nf needs m >= 3")
+    _check_alphabet(w)
+    stack: list[tuple[str, int]] = []
+    power = _extend(m, stack, 0, w)
     return GarsideNormalForm(m, tuple(_alt_string(f, k) for f, k in stack), power)
 
 

@@ -9,16 +9,22 @@ simplex, an edge whenever two simplices share a coset) is a regular m-tree on
 which the generators translate by 1.
 
 Cosets are keyed by the simple-factor sequence of the canonical form with the
-D power dropped; tree navigation is then pure string computation.  The two
+D power dropped.  Words enter the tree through `coset_key`, one normal form
+each; from there the tree is navigated by right multiplication.  The two
 simplices through the coset with representative h are h*(base s-simplex) and
-h*(base t-simplex), which makes neighbor expansion local.
+h*(base t-simplex): starting from the key's own factors, each is walked one
+letter of the base prefix at a time, and each positive letter changes only
+the top factor of the normal form (and the D parity), so every key is one
+step from the last.  An axis is walked the same way, one base letter per
+simplex.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
-from .dihedral import garside_nf, words_equal
+from .dihedral import _OTHER, _alt_string, _extend, garside_nf, words_equal
 from .errors import CapExceeded, PreconditionError
 from .words import Word, generator
 
@@ -56,10 +62,38 @@ def base_simplex(m: int) -> Simplex:
     return _simplex_from(m, Word(), "s")
 
 
+def _step(
+    m: int, key: CosetKey, stack: list[tuple[str, int]], power: int, letter: str
+) -> tuple[CosetKey, int]:
+    """Right-multiply the state (key, stack, power) by one positive letter.
+
+    `stack` holds the factors of `key` as (first letter, length) and is
+    updated in place; returns the new key and D power.  A positive letter
+    changes at most the top factor, so the rest of the key is reused.
+    """
+    kept = len(stack) - 1 if stack else 0
+    power = _extend(m, stack, power, ((letter, 1),))
+    return key[:kept] + tuple([_alt_string(f, k) for f, k in stack[kept:]]), power
+
+
+def _simplex_walk(
+    m: int, key: CosetKey, stack: list[tuple[str, int]], power: int, first: str
+) -> Simplex:
+    """rep * (base simplex through `first`), rep in the state (key, stack, power)."""
+    stack = list(stack)
+    keys = [key]
+    letter = first
+    for _ in range(m - 1):
+        key, power = _step(m, key, stack, power, letter)
+        keys.append(key)
+        letter = _OTHER[letter]
+    return frozenset(keys)
+
+
 def simplices_at(m: int, key: CosetKey) -> tuple[Simplex, Simplex]:
     """The two maximal simplices containing the given coset."""
-    rep = _key_word(key)
-    return _simplex_from(m, rep, "s"), _simplex_from(m, rep, "t")
+    stack = [(u[0], len(u)) for u in key]
+    return _simplex_walk(m, key, stack, 0, "s"), _simplex_walk(m, key, stack, 0, "t")
 
 
 def neighbor_across(m: int, simplex: Simplex, key: CosetKey) -> Simplex:
@@ -91,14 +125,22 @@ class TreeBall:
     vertices: tuple[SimplexNode, ...]
     edges: tuple[tuple[int, int], ...]
 
+    @cached_property
+    def neighbors(self) -> tuple[tuple[int, ...], ...]:
+        """The sorted neighbour indices of every simplex, built from `edges` once."""
+        nbrs: list[list[int]] = [[] for _ in self.vertices]
+        for a, b in self.edges:
+            nbrs[a].append(b)
+            nbrs[b].append(a)
+        return tuple(tuple(sorted(n)) for n in nbrs)
+
     def degree(self, i: int) -> int:
-        return sum(1 for a, b in self.edges if i in (a, b))
+        return len(self.neighbors[i])
 
     def adjacency_text(self) -> str:
         lines = [f"# dual tree ball, m={self.m}, radius={self.radius}"]
         for i, node in enumerate(self.vertices):
-            nbrs = sorted(b if a == i else a for a, b in self.edges if i in (a, b))
-            lines.append(f"{i} [{node.tag}] -> {' '.join(str(j) for j in nbrs)}")
+            lines.append(f"{i} [{node.tag}] -> {' '.join(map(str, self.neighbors[i]))}")
         return "\n".join(lines) + "\n"
 
 
@@ -108,6 +150,16 @@ def tree_ball(m: int, r: int, max_simplices: int = DEFAULT_MAX_SIMPLICES) -> Tre
         raise PreconditionError("tree_ball needs m >= 3")
     if r < 1:
         raise PreconditionError("tree_ball needs radius >= 1")
+    # The ball has 1 + m((m-1)^r - 1)/(m-2) simplices; sum it level by level
+    # and stop at the cap, so a huge r builds neither the ball nor the number.
+    size, level = 1, m
+    for _ in range(r):
+        size += level
+        if size > max_simplices:
+            raise CapExceeded(
+                f"ball exceeds {max_simplices} simplices; lower r or raise the cap"
+            )
+        level *= m - 1
     start = base_simplex(m)
     index: dict[Simplex, int] = {start: 0}
     info: list[tuple[Simplex, int]] = [(start, 0)]
@@ -170,6 +222,18 @@ def axis_vertex(m: int, a: AxisDescription, k: int) -> Simplex:
     return _simplex_from(m, rep, "s")
 
 
+def _axis_walk(m: int, a: AxisDescription, span: int) -> list[Simplex]:
+    """axis_vertex(m, a, k) for k = -span..span, one base letter per step."""
+    nf = garside_nf(m, a.conjugator * generator(a.base, -1) ** span)
+    key, power = nf.simples, nf.delta_power
+    stack = [(u[0], len(u)) for u in key]
+    out = [_simplex_walk(m, key, stack, power, "s")]
+    for _ in range(2 * span):
+        key, power = _step(m, key, stack, power, a.base)
+        out.append(_simplex_walk(m, key, stack, power, "s"))
+    return out
+
+
 def _levels_from(m: int, start: Simplex, max_radius: int, cap: int):
     """Iterator over (depth, set of simplices at that depth) from start."""
     seen = {start}
@@ -196,8 +260,8 @@ def _project_to_axis(
 ) -> tuple[int, int]:
     """(k*, distance) of the projection of the base simplex onto the axis."""
     targets = {}
-    for k in range(-span, span + 1):
-        targets.setdefault(axis_vertex(m, a, k), k)
+    for k, s in enumerate(_axis_walk(m, a, span), -span):
+        targets.setdefault(s, k)
     max_radius = len(a.conjugator) + 2
     for depth, level in _levels_from(m, base_simplex(m), max_radius, cap):
         hits = sorted(targets[s] for s in level if s in targets)
@@ -258,9 +322,10 @@ def classify_pair(
     for _attempt in range(4):
         ax: dict[Simplex, int] = {}
         ay: dict[Simplex, int] = {}
-        for k in range(-span, span + 1):
-            ax.setdefault(axis_vertex(m, x, k), k)
-            ay.setdefault(axis_vertex(m, y, k), k)
+        for k, s in enumerate(_axis_walk(m, x, span), -span):
+            ax.setdefault(s, k)
+        for k, s in enumerate(_axis_walk(m, y, span), -span):
+            ay.setdefault(s, k)
         common = set(ax) & set(ay)
         boundary = any(abs(ax[s]) >= span or abs(ay[s]) >= span for s in common)
         if not boundary:

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from artinkit.cli import run
+from artinkit.dualtree import tree_ball
 from conftest import FIXTURES
 
 TRIFORCE = str(FIXTURES / "triforce.graph")
@@ -95,6 +96,24 @@ def test_tree_and_classify_pair():
     code, text = run(["classify-pair", "-m", "3", "s t|s", "s t|t"])
     assert code == 0 and "classification: full_dihedral" in text
     assert "witness: t^-1 s^-1" in text
+
+
+def test_tree_neighbour_lines_match_edge_scan():
+    for m, r in [(3, 4), (5, 2), (8, 1)]:
+        code, text = run(["tree", "-m", str(m), "-r", str(r)])
+        assert code == 0
+        ball = tree_ball(m, r)
+        want = []
+        for i, node in enumerate(ball.vertices):
+            nbrs = sorted(b if a == i else a for a, b in ball.edges if i in (a, b))
+            want.append(f"node{i}: [{node.tag}] depth={node.depth} -> {' '.join(map(str, nbrs))}")
+        assert [line for line in text.splitlines() if line.startswith("node")] == want
+
+
+def test_tree_over_the_cap_is_domain_error(capsys):
+    code, text = run(["tree", "-m", "40", "-r", "3"])
+    assert (code, text) == (1, "")
+    assert capsys.readouterr().err.startswith("error: ball exceeds 20000 simplices")
 
 
 def test_twists_aut_gens_hom_shapes_embed():

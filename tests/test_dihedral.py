@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from artinkit import (
+    GarsideNormalForm,
     PreconditionError,
     Word,
     WordError,
@@ -20,7 +21,7 @@ from artinkit import (
     parse_word,
     words_equal,
 )
-from artinkit.dihedral import _syllables
+from artinkit.dihedral import _alt_string, _extend, _syllables
 
 P = parse_word
 S, T = generator("s"), generator("t")
@@ -407,3 +408,35 @@ def test_nf_long_words_match_burau_m3():
         assert _mkey(_burau(garside_nf(3, w1).word())) == b1
         for w2 in (equal, unequal):
             assert (_nf_key(3, w1) == _nf_key(3, w2)) == (_mkey(_burau(w2)) == b1)
+
+
+def _runs(runs):
+    """Concatenated alternating runs (first letter, sign, length)."""
+    letters = []
+    for first, sign, length in runs:
+        pair = (first, "t" if first == "s" else "s")
+        letters.extend((pair[i % 2], sign) for i in range(length))
+    return letters
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(3, 9),
+    st.lists(
+        st.tuples(st.sampled_from("st"), st.sampled_from([1, -1]), st.integers(1, 11)),
+        max_size=10,
+    ),
+)
+def test_extend_letter_by_letter_matches_garside_nf(m, runs):
+    # Alternating runs of up to 11 letters make every Delta spill, inverse
+    # letter and odd-power conjugation common for odd and even m alike.
+    letters = _runs(runs)
+    stack, power = [], 0
+    for i, letter in enumerate(letters):
+        power = _extend(m, stack, power, [letter])
+        prefix = Word(letters[: i + 1])
+        nf = garside_nf(m, prefix)
+        state = tuple(_alt_string(f, k) for f, k in stack)
+        assert (state, power) == (nf.simples, nf.delta_power)
+        # and the state represents the prefix, by the independent oracle
+        assert oracle_key(m, GarsideNormalForm(m, state, power).word()) == oracle_key(m, prefix)

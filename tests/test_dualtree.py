@@ -1,6 +1,8 @@
 import random
+import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from artinkit import (
     AxisDescription,
@@ -14,7 +16,15 @@ from artinkit import (
     tree_ball,
     words_equal,
 )
-from artinkit.dualtree import axis_vertex, base_simplex, simplex_tag, simplices_at
+from artinkit.dualtree import (
+    _axis_walk,
+    axis_vertex,
+    base_simplex,
+    coset_key,
+    neighbor_across,
+    simplex_tag,
+    simplices_at,
+)
 
 P = parse_word
 
@@ -42,6 +52,72 @@ def test_ball_is_tree_and_regular():
 def test_ball_cap():
     with pytest.raises(CapExceeded):
         tree_ball(7, 8, max_simplices=500)
+
+
+def test_ball_cap_is_checked_before_building():
+    started = time.perf_counter()
+    with pytest.raises(CapExceeded):
+        tree_ball(40, 3)  # 62 446 simplices
+    with pytest.raises(CapExceeded):
+        tree_ball(3, 10**9)
+    assert time.perf_counter() - started < 1.0
+    size = 1 + 5 * (4**2 - 1) // 3
+    assert len(tree_ball(5, 2, max_simplices=size).vertices) == size
+    with pytest.raises(CapExceeded):
+        tree_ball(5, 2, max_simplices=size - 1)
+
+
+def test_neighbour_view_matches_edge_scan():
+    for m, r in [(3, 3), (4, 2), (7, 1)]:
+        b = tree_ball(m, r)
+        lines = [f"# dual tree ball, m={m}, radius={r}"]
+        for i, node in enumerate(b.vertices):
+            nbrs = sorted(y if x == i else x for x, y in b.edges if i in (x, y))
+            assert b.degree(i) == len(nbrs)
+            lines.append(f"{i} [{node.tag}] -> {' '.join(str(j) for j in nbrs)}")
+        assert b.adjacency_text() == "\n".join(lines) + "\n"
+
+
+def _reference_simplices(m, key):
+    rep = Word((c, 1) for u in key for c in u)
+    out = []
+    for first, other in (("s", "t"), ("t", "s")):
+        prefixes = [
+            Word(((first, other)[i % 2], 1) for i in range(length)) for length in range(m)
+        ]
+        out.append(frozenset(coset_key(m, rep * p) for p in prefixes))
+    return tuple(out)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(3, 9), st.integers(0, 2**32 - 1))
+def test_simplices_at_matches_renormalised_prefixes(m, seed):
+    rng = random.Random(seed)
+    keys = set()
+    simplex = base_simplex(m)
+    for _ in range(rng.randint(0, 12)):  # a random walk in the dual tree
+        key = rng.choice(sorted(simplex))
+        keys.add(key)
+        simplex = neighbor_across(m, simplex, key)
+    keys |= simplex
+    for _ in range(4):  # cosets of random words
+        letters = [(rng.choice("st"), rng.choice([1, -1])) for _ in range(rng.randint(0, 30))]
+        keys.add(coset_key(m, Word(letters)))
+    for key in keys:
+        assert simplices_at(m, key) == _reference_simplices(m, key)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(3, 9),
+    st.lists(st.tuples(st.sampled_from("st"), st.sampled_from([1, -1])), max_size=8),
+    st.sampled_from("st"),
+    st.sampled_from([1, -1]),
+    st.integers(0, 10),
+)
+def test_axis_walk_matches_axis_vertex(m, conj, base, sign, span):
+    a = AxisDescription(Word(conj), base, sign)
+    assert _axis_walk(m, a, span) == [axis_vertex(m, a, k) for k in range(-span, span + 1)]
 
 
 def test_each_coset_in_two_simplices():
