@@ -21,14 +21,25 @@ polygon containing a corner onto the first and last type-2 vertices of its
 inner path; a battery of exact checks then reproduces, on any input claiming
 to satisfy the side conditions, the impossibility of totalling 12 units.
 Violations are report entries, never exceptions.
+
+A `DiscDiagram` is immutable: `triangles` and `boundary` are tuples and
+`types` is a read-only view of a dict the diagram owns, so a diagram cannot
+change after it is checked.  Each instance is therefore validated once:
+`validate` records a pass on the instance, and `curvatures` and
+`redistribute` validate only an instance that has not passed (a direct
+`validate(d)` call always runs every check).  Gluing a star carries the next
+fresh `P`/`v` index to the diagram it returns, so building a diagram by
+repeated gluing is linear in its size.
 """
 
 from __future__ import annotations
 
 import json
 import re
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
+from types import MappingProxyType
 
 from .errors import DiagramError, PreconditionError
 from .presentation import connected_components
@@ -47,10 +58,18 @@ def _edge(u: str, v: str) -> Edge:
 @dataclass(frozen=True)
 class DiscDiagram:
     triangles: tuple[Triangle, ...]
-    types: dict[str, int]
+    types: Mapping[str, int]
     boundary: tuple[str, ...]
     transitions: frozenset[str] = frozenset()
     basepoint: str | None = None
+
+    def __post_init__(self):
+        # only immutable values and a private copy of `types`, so no caller
+        # can change a diagram after it has been validated
+        object.__setattr__(self, "triangles", tuple(self.triangles))
+        object.__setattr__(self, "types", MappingProxyType(dict(self.types)))
+        object.__setattr__(self, "boundary", tuple(self.boundary))
+        object.__setattr__(self, "transitions", frozenset(self.transitions))
 
     def vertex_names(self) -> tuple[str, ...]:
         return tuple(sorted(self.vertex_triangles))
@@ -63,6 +82,11 @@ class DiscDiagram:
             for v in t:
                 out.setdefault(v, []).append(t)
         return {v: tuple(ts) for v, ts in out.items()}
+
+    @cached_property
+    def _next_indices(self) -> tuple[int, int]:
+        """The next fresh (P, v) indices: one past the largest in use."""
+        return _fresh_indices(self)
 
     def edge_triangles(self) -> dict[Edge, list[Triangle]]:
         out: dict[Edge, list[Triangle]] = {}
@@ -158,6 +182,7 @@ def validate(d: DiscDiagram) -> None:
             raise DiagramError(f"basepoint {d.basepoint!r} is off the boundary")
         if d.types[d.basepoint] != 2:
             raise DiagramError(f"basepoint {d.basepoint!r} is not a type-2 vertex")
+    d.__dict__["_validated"] = True
 
 
 def load_diagram(text: str) -> DiscDiagram:
@@ -288,7 +313,8 @@ def _classify_marked(n: int) -> str:
 
 def curvatures(d: DiscDiagram) -> CurvatureReport:
     """Exact per-vertex and per-polygon curvature with the n_v dichotomy audit."""
-    validate(d)
+    if "_validated" not in d.__dict__:
+        validate(d)
     boundary_set = set(d.boundary)
     incident = d.vertex_triangles
     names = d.vertex_names()
@@ -556,32 +582,63 @@ def star_diagram(k: int, transitions=(), basepoint: str | None = None) -> DiscDi
     return DiscDiagram(triangles, types, tuple(rim), frozenset(transitions), basepoint)
 
 
-def _fresh_indices(d: DiscDiagram, prefix: str) -> int:
-    best = -1
-    pat = re.compile(re.escape(prefix) + r"(\d+)\Z")
-    for v in list(d.types) :
-        mm = pat.match(v)
+_FRESH_RE = re.compile(r"([Pv])(\d+)\Z")
+
+
+def _fresh_indices(d: DiscDiagram) -> tuple[int, int]:
+    """One scan of the names: one past the largest index of P<i> and of v<i>."""
+    best = {"P": -1, "v": -1}
+    for v in d.types:
+        mm = _FRESH_RE.match(v)
         if mm:
-            best = max(best, int(mm.group(1)))
-    return best + 1
+            prefix, index = mm.groups()
+            best[prefix] = max(best[prefix], int(index))
+    return best["P"] + 1, best["v"] + 1
 
 
-def _star(d: DiscDiagram, path: tuple[str, ...], k: int):
-    """The fresh rim, types and triangles of a fresh 2k-gon glued along the
-    boundary path `path`.  Its cycle is `path` then the fresh rim; a fresh
-    vertex at cycle position p takes the type of the path's vertex p % 2."""
+def _find_on_boundary(bnd: tuple[str, ...], path: tuple[str, ...]) -> tuple[int, bool] | None:
+    """(position, forward) of the first cyclic window of the boundary `bnd`
+    that reads `path` forwards or backwards, as a scan over every position
+    finds it (a window reading it both ways counts as forward), or None."""
+    n = len(bnd)
+    hits = []
+    for backward, seq in ((False, path), (True, path[::-1])):
+        i = -1
+        while True:
+            try:
+                i = bnd.index(seq[0], i + 1)
+            except ValueError:
+                break
+            if all(bnd[(i + j) % n] == x for j, x in enumerate(seq)):
+                hits.append((i, backward))
+                break
+    if not hits:
+        return None
+    pos, backward = min(hits)
+    return pos, not backward
+
+
+def _star(d: DiscDiagram, path: tuple[str, ...], k: int, forward: bool,
+          head: tuple[str, ...], tail: tuple[str, ...]) -> DiscDiagram:
+    """`d` with a fresh 2k-gon glued along the boundary path `path`, which the
+    boundary reads forwards or backwards; the new boundary is `head`, the
+    fresh rim, then `tail`.  The polygon's cycle is `path` then the fresh rim;
+    a fresh vertex at cycle position p takes the type of the path's vertex p % 2."""
     if k < 3:
         raise PreconditionError("a polygon needs at least 3 type-2 vertices (k >= 3)")
-    c = f"P{_fresh_indices(d, 'P')}"
-    base = _fresh_indices(d, "v")
-    fresh = tuple(f"v{base + i}" for i in range(2 * k - len(path)))
+    p, v = d._next_indices
+    c = f"P{p}"
+    fresh = tuple(f"v{v + i}" for i in range(2 * k - len(path)))
     cycle = path + fresh
-    types = dict(d.types)
+    types = d.types.copy()
     types[c] = 0
-    for p in range(len(path), 2 * k):
-        types[cycle[p]] = d.types[cycle[p % 2]]
+    for q in range(len(path), 2 * k):
+        types[cycle[q]] = d.types[cycle[q % 2]]
     triangles = d.triangles + tuple((c, cycle[i], cycle[(i + 1) % (2 * k)]) for i in range(2 * k))
-    return fresh, types, triangles
+    insert = fresh[::-1] if forward else fresh
+    out = DiscDiagram(triangles, types, head + insert + tail, d.transitions, d.basepoint)
+    out.__dict__["_next_indices"] = (p + 1, v + len(fresh))
+    return out
 
 
 def attach_star(d: DiscDiagram, u: str, v: str, k: int) -> DiscDiagram:
@@ -589,27 +646,15 @@ def attach_star(d: DiscDiagram, u: str, v: str, k: int) -> DiscDiagram:
 
     The result is again a disc; all previously marked data is preserved.
     """
-    n = len(d.boundary)
-    pos = None
-    forward = True
-    for i in range(n):
-        a, b = d.boundary[i], d.boundary[(i + 1) % n]
-        if (a, b) == (u, v):
-            pos, forward = i, True
-            break
-        if (a, b) == (v, u):
-            pos, forward = i, False
-            break
-    if pos is None:
+    found = _find_on_boundary(d.boundary, (u, v))
+    if found is None:
         raise PreconditionError(f"({u},{v}) is not a boundary edge")
     if {d.types[u], d.types[v]} != {1, 2}:
         raise PreconditionError("can only glue along a type-1/type-2 edge")
-    fresh, types, triangles = _star(d, (u, v), k)
+    pos, forward = found
     # boundary ... u v ... becomes u fresh[-1] ... fresh[0] v;
     # boundary ... v u ... becomes v fresh[0] ... fresh[-1] u
-    insert = fresh[::-1] if forward else fresh
-    bnd = d.boundary[: pos + 1] + insert + d.boundary[pos + 1 :]
-    return DiscDiagram(triangles, types, bnd, d.transitions, d.basepoint)
+    return _star(d, (u, v), k, forward, d.boundary[: pos + 1], d.boundary[pos + 1 :])
 
 
 def attach_star_two(d: DiscDiagram, u: str, w: str, v: str, k: int) -> DiscDiagram:
@@ -618,25 +663,14 @@ def attach_star_two(d: DiscDiagram, u: str, w: str, v: str, k: int) -> DiscDiagr
     The pivot w becomes interior when these were its last boundary edges.
     Gluing across a type-1 pivot leaves the new polygon with an inner path
     whose first and last type-2 vertices are distinct (u and v)."""
-    n = len(d.boundary)
-    pos = None
-    forward = True
-    for i in range(n):
-        trip = (d.boundary[i], d.boundary[(i + 1) % n], d.boundary[(i + 2) % n])
-        if trip == (u, w, v):
-            pos, forward = i, True
-            break
-        if trip == (v, w, u):
-            pos, forward = i, False
-            break
-    if pos is None:
+    found = _find_on_boundary(d.boundary, (u, w, v))
+    if found is None:
         raise PreconditionError(f"({u},{w},{v}) is not a boundary path")
-    fresh, types, triangles = _star(d, (u, w, v), k)
+    pos, forward = found
     # the boundary, rotated to start at the glued path, with the pivot w
     # replaced by the new rim between the two outer vertices
-    insert = fresh[::-1] if forward else fresh
     rot = d.boundary[pos:] + d.boundary[:pos]
-    return DiscDiagram(triangles, types, rot[:1] + insert + rot[2:], d.transitions, d.basepoint)
+    return _star(d, (u, w, v), k, forward, rot[:1], rot[2:])
 
 
 def with_markings(d: DiscDiagram, transitions, basepoint: str | None) -> DiscDiagram:

@@ -88,6 +88,14 @@ class GarsideNormalForm:
             if i > 0 and self.simples[i - 1][-1] != u[0]:
                 raise ValueError("consecutive simple factors fail the matching condition")
 
+    @classmethod
+    def _built(cls, m: int, simples: tuple[str, ...], delta_power: int) -> GarsideNormalForm:
+        """A normal form built by `_extend`, whose factors have the right
+        length, alternate and match by construction: nothing is re-checked."""
+        nf = cls.__new__(cls)
+        nf.__dict__.update(m=m, simples=simples, delta_power=delta_power)
+        return nf
+
     def word(self) -> Word:
         w = Word((c, 1) for u in self.simples for c in u)
         if self.delta_power:
@@ -143,7 +151,7 @@ def garside_nf(m: int, w: Word) -> GarsideNormalForm:
     _check_alphabet(w)
     stack: list[tuple[str, int]] = []
     power = _extend(m, stack, 0, w)
-    return GarsideNormalForm(m, tuple(_alt_string(f, k) for f, k in stack), power)
+    return GarsideNormalForm._built(m, tuple(_alt_string(f, k) for f, k in stack), power)
 
 
 def words_equal(m: int, w1: Word, w2: Word) -> bool:

@@ -1,7 +1,10 @@
+import dataclasses
 import json
 import random
+import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from artinkit import (
     DiagramError,
@@ -17,7 +20,8 @@ from artinkit import (
     validate,
     with_markings,
 )
-from artinkit.curvature import FULL_TURN, attach_star_two
+from artinkit import curvature
+from artinkit.curvature import FULL_TURN, _find_on_boundary, attach_star_two
 from conftest import diagram_with_good_corner, pivot_fan_diagram, random_glued_diagram
 
 
@@ -375,3 +379,155 @@ def test_attach_star_two_makes_pivot_interior():
     validate(d2)
     assert w not in d2.boundary
     assert curvatures(d2).total == FULL_TURN
+
+
+# -- immutability, single validation and the carried fresh-name counter ---------
+
+def _rescan_index(d, prefix):
+    """One past the largest index of the names prefix<i>: the full regex rescan
+    that gluing a star once did for every star."""
+    best = -1
+    pat = re.compile(re.escape(prefix) + r"(\d+)\Z")
+    for v in list(d.types):
+        mm = pat.match(v)
+        if mm:
+            best = max(best, int(mm.group(1)))
+    return best + 1
+
+
+def _scan_boundary(bnd, path):
+    """(position, forward) of the first boundary window reading `path` either
+    way, by a scan over every position; None if there is none."""
+    n = len(bnd)
+    for i in range(n):
+        window = tuple(bnd[(i + j) % n] for j in range(len(path)))
+        if window == path:
+            return i, True
+        if window == path[::-1]:
+            return i, False
+    return None
+
+
+def _count_calls(monkeypatch, name):
+    calls = []
+    original = getattr(curvature, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(curvature, name, counted)
+    return calls
+
+
+def test_long_chain_scans_names_at_most_twice(monkeypatch):
+    scans = _count_calls(monkeypatch, "_fresh_indices")
+    rng = random.Random(11)
+    d = star_diagram(4)
+    for i in range(200):
+        bnd, n = d.boundary, len(d.boundary)
+        j = rng.randrange(n)
+        if i % 4 == 3:
+            d = attach_star_two(d, bnd[j], bnd[(j + 1) % n], bnd[(j + 2) % n], 3 + i % 4)
+        else:
+            d = attach_star(d, bnd[(j + 1) % n], bnd[j], 3 + i % 4)
+    assert len(scans) <= 2
+    assert "P200" in d.types and "P201" not in d.types
+    assert d._next_indices == (_rescan_index(d, "P"), _rescan_index(d, "v"))
+
+
+def test_loaded_diagram_is_validated_once(monkeypatch):
+    text = dump_diagram(diagram_with_good_corner(random.Random(5), max_polygons=8))
+    calls = _count_calls(monkeypatch, "validate")
+    d = load_diagram(text)
+    curvatures(d)
+    redistribute(d)
+    assert len(calls) == 1
+
+
+def test_direct_validate_always_runs_the_checks(monkeypatch):
+    d = load_diagram(dump_diagram(attach_star(hexstar(), "v0", "v1", 4)))
+    walks = _count_calls(monkeypatch, "connected_components")
+    validate(d)
+    first = len(walks)
+    validate(d)
+    assert first > 0 and len(walks) == 2 * first
+
+
+def test_types_are_read_only_and_owned():
+    given = {"c": 0, "p": 1, "q": 2}
+    d = DiscDiagram((("c", "p", "q"),), given, ("p", "q", "c"))
+    with pytest.raises(TypeError):
+        d.types["c"] = 1
+    given["c"] = 1
+    given["r"] = 2
+    assert dict(d.types) == {"c": 0, "p": 1, "q": 2}
+    assert d == DiscDiagram(d.triangles, {"c": 0, "p": 1, "q": 2}, d.boundary)
+
+
+@pytest.mark.parametrize("remark", ["with_markings", "replace"])
+def test_remarked_validated_diagram_is_revalidated(remark):
+    d = attach_star(hexstar(), "v0", "v1", 3)
+    curvatures(d)  # validated and recorded
+    for transitions, message in ((["P0"], "off the boundary"), (["v0"], "not a type-2")):
+        if remark == "with_markings":
+            e = with_markings(d, transitions, None)
+        else:
+            e = dataclasses.replace(d, transitions=frozenset(transitions))
+        assert e is not d
+        with pytest.raises(DiagramError, match=message):
+            curvatures(e)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(3, 6), st.lists(
+    st.tuples(st.booleans(), st.booleans(), st.floats(0, 1, exclude_max=True), st.integers(3, 6)),
+    max_size=25,
+))
+def test_gluing_matches_rescan_and_boundary_scan(k0, steps):
+    # each step: two edges or one, either orientation, a boundary position, k
+    d = star_diagram(k0)
+    for two, reverse, pick, k in steps:
+        bnd, n = d.boundary, len(d.boundary)
+        i = int(pick * n)
+        path = tuple(bnd[(i + j) % n] for j in range(3 if two else 2))
+        if reverse:
+            path = path[::-1]
+        pos, forward = _scan_boundary(bnd, path)
+        assert _find_on_boundary(bnd, path) == (pos, forward)
+        c, base = f"P{_rescan_index(d, 'P')}", _rescan_index(d, "v")
+        fresh = tuple(f"v{base + j}" for j in range(2 * k - len(path)))
+        insert = fresh[::-1] if forward else fresh
+        if two:
+            rot = bnd[pos:] + bnd[:pos]
+            want = rot[:1] + insert + rot[2:]
+            e = attach_star_two(d, *path, k)
+        else:
+            want = bnd[: pos + 1] + insert + bnd[pos + 1 :]
+            e = attach_star(d, *path, k)
+        assert e.boundary == want
+        assert set(e.types) == set(d.types) | {c} | set(fresh)
+        assert e.triangles[-2 * k][0] == c
+        d = e
+    validate(d)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.sampled_from("abcd"), max_size=8).map(tuple),
+    st.lists(st.sampled_from("abcd"), min_size=2, max_size=3).map(tuple),
+)
+def test_boundary_lookup_matches_scan_with_repeats(bnd, path):
+    # repeated names and short cycles: the first window still wins, and a
+    # window reading the path both ways counts as forward
+    assert _find_on_boundary(bnd, path) == _scan_boundary(bnd, path)
+
+
+def test_bad_gluing_raises_as_before():
+    d = hexstar()
+    with pytest.raises(PreconditionError, match=r"\(v0,v2\) is not a boundary edge"):
+        attach_star(d, "v0", "v2", 3)
+    with pytest.raises(PreconditionError, match=r"\(v0,v1,v3\) is not a boundary path"):
+        attach_star_two(d, "v0", "v1", "v3", 3)
+    with pytest.raises(PreconditionError, match="k >= 3"):
+        attach_star(d, "v1", "v0", 2)

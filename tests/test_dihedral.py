@@ -66,6 +66,28 @@ def test_nf_requires_m_at_least_3():
         garside_nf(2, P("s"))
 
 
+def test_public_constructor_checks_its_factors():
+    with pytest.raises(ValueError, match="'stst' has bad length for m=4"):
+        GarsideNormalForm(4, ("stst",), 0)
+    with pytest.raises(ValueError, match="'' has bad length"):
+        GarsideNormalForm(4, ("",), 0)
+    with pytest.raises(ValueError, match="'sst' is not alternating"):
+        GarsideNormalForm(4, ("sst",), 0)
+    with pytest.raises(ValueError, match="fail the matching condition"):
+        GarsideNormalForm(4, ("st", "s"), 1)
+    assert GarsideNormalForm(4, ("st", "ts"), 1) == garside_nf(4, P("s t t s") * delta_word(4))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(3, 9),
+    st.lists(st.tuples(st.sampled_from("st"), st.sampled_from([1, -1])), max_size=60),
+)
+def test_garside_nf_output_passes_the_public_constructor(m, letters):
+    nf = garside_nf(m, Word(letters))
+    assert GarsideNormalForm(nf.m, nf.simples, nf.delta_power) == nf
+
+
 def test_nf_format():
     assert str(garside_nf(3, P("s t"))) == "[st] Δ^0"
     assert str(garside_nf(3, P("s t s"))) == "[] Δ^1"
