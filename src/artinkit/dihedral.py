@@ -35,6 +35,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 from dataclasses import dataclass
+from functools import cache
 
 from .errors import PreconditionError, WordError
 from .words import Letter, Word, alt_product, generator, parse_word
@@ -175,41 +176,42 @@ def words_equal(m: int, w1: Word, w2: Word) -> bool:
 # ---------------------------------------------------------------------------
 # Independent oracle: exponent sum + image in the quotient by the centre.
 
-def _quotient_images(m: int) -> tuple[dict[str, list[tuple[str, int]]], dict[str, int]]:
+@cache
+def _quotient_images(m: int) -> tuple[dict[Letter, tuple[tuple[str, int], ...]], dict[str, int]]:
+    """The image of each signed letter as syllables, and the order of each symbol."""
     if m % 2 == 1:
         # A_m is <x, y | x^2 = y^m> with x = Pi(s,t;m) and y = st; the centre
         # is <x^2> and the quotient is C2 * Cm.
-        images = {
-            "s": [("y", -(m - 1) // 2), ("x", 1)],
-            "t": [("x", -1), ("y", (m + 1) // 2)],
+        positive = {
+            "s": (("y", -(m - 1) // 2), ("x", 1)),
+            "t": (("x", -1), ("y", (m + 1) // 2)),
         }
         orders = {"x": 2, "y": m}
     else:
         # A_m is <x, y | [x, y^{m/2}] = 1> with x = s and y = st; the centre
         # is <y^{m/2}> and the quotient is Z * C_{m/2}.
-        images = {"s": [("x", 1)], "t": [("x", -1), ("y", 1)]}
+        positive = {"s": (("x", 1),), "t": (("x", -1), ("y", 1))}
         orders = {"x": 0, "y": m // 2}
+    images = {}
+    for name, image in positive.items():
+        images[name, 1] = image
+        images[name, -1] = tuple((sym, -exp) for sym, exp in reversed(image))
     return images, orders
 
 
 def _syllables(m: int, w: Word) -> tuple[tuple[str, int], ...]:
     images, orders = _quotient_images(m)
-    stack: list[list] = []
-
-    def push(sym: str, exp: int) -> None:
-        if stack and stack[-1][0] == sym:
-            exp += stack.pop()[1]
-        order = orders[sym]
-        if order:
-            exp %= order
-        if exp:
-            stack.append([sym, exp])
-
-    for name, sign in w:
-        seq = images[name] if sign == 1 else [(s, -e) for s, e in reversed(images[name])]
-        for sym, exp in seq:
-            push(sym, exp)
-    return tuple((s, e) for s, e in stack)
+    stack: list[tuple[str, int]] = []
+    for letter in w:
+        for sym, exp in images[letter]:
+            if stack and stack[-1][0] == sym:
+                exp += stack.pop()[1]
+            order = orders[sym]
+            if order:
+                exp %= order
+            if exp:
+                stack.append((sym, exp))
+    return tuple(stack)
 
 
 def oracle_key(m: int, w: Word) -> tuple[int, tuple[tuple[str, int], ...]]:

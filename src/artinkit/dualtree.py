@@ -9,14 +9,15 @@ simplex, an edge whenever two simplices share a coset) is a regular m-tree on
 which the generators translate by 1.
 
 Cosets are keyed by the simple-factor sequence of the canonical form with the
-D power dropped.  Words enter the tree through `coset_key`, one normal form
-each; from there the tree is navigated by right multiplication.  The two
-simplices through the coset with representative h are h*(base s-simplex) and
+D power dropped.  A word enters the tree through one normal form per walk;
+from there the tree is navigated by right multiplication.  The two simplices
+through the coset with representative h are h*(base s-simplex) and
 h*(base t-simplex): starting from the key's own factors, each is walked one
 letter of the base prefix at a time, and each positive letter changes only
 the top factor of the normal form (and the D parity), so every key is one
 step from the last.  An axis is walked the same way, one base letter per
-simplex.
+simplex, from the normal form of its first vertex.  One breadth-first
+generator, `_levels`, serves both the ball and the projection onto an axis.
 """
 
 from __future__ import annotations
@@ -46,22 +47,6 @@ def coset_str(key: CosetKey) -> str:
     return ".".join(key) if key else "1"
 
 
-def _base_prefixes(first: str, m: int) -> list[Word]:
-    other = "t" if first == "s" else "s"
-    out = []
-    for length in range(m):
-        out.append(Word((first if i % 2 == 0 else other, 1) for i in range(length)))
-    return out
-
-
-def _simplex_from(m: int, rep: Word, first: str) -> Simplex:
-    return frozenset(coset_key(m, rep * p) for p in _base_prefixes(first, m))
-
-
-def base_simplex(m: int) -> Simplex:
-    return _simplex_from(m, Word(), "s")
-
-
 def _step(
     m: int, key: CosetKey, stack: list[tuple[str, int]], power: int, letter: str
 ) -> tuple[CosetKey, int]:
@@ -88,6 +73,10 @@ def _simplex_walk(
         keys.append(key)
         letter = _OTHER[letter]
     return frozenset(keys)
+
+
+def base_simplex(m: int) -> Simplex:
+    return _simplex_walk(m, (), [], 0, "s")
 
 
 def simplices_at(m: int, key: CosetKey) -> tuple[Simplex, Simplex]:
@@ -144,6 +133,30 @@ class TreeBall:
         return "\n".join(lines) + "\n"
 
 
+def _levels(m: int, start: Simplex, radius: int, cap: int, message: str):
+    """Breadth-first levels of the dual tree around `start`.
+
+    Yields (depth, [(parent, simplex), ...]) for depth 1..radius, listing the
+    simplices first reached at that depth: parents in `simplex_tag` order and
+    each parent's cosets in sorted order.  Raises CapExceeded(message) once
+    more than `cap` simplices have been seen.
+    """
+    seen = {start}
+    frontier = [start]
+    for depth in range(1, radius + 1):
+        level: list[tuple[Simplex, Simplex]] = []
+        for s in sorted(frontier, key=simplex_tag):
+            for key in sorted(s):
+                n = neighbor_across(m, s, key)
+                if n not in seen:
+                    seen.add(n)
+                    if len(seen) > cap:
+                        raise CapExceeded(message)
+                    level.append((s, n))
+        yield depth, level
+        frontier = [n for _, n in level]
+
+
 def tree_ball(m: int, r: int, max_simplices: int = DEFAULT_MAX_SIMPLICES) -> TreeBall:
     """Exact ball of radius r around the base simplex in the dual tree."""
     if m < 3:
@@ -152,36 +165,22 @@ def tree_ball(m: int, r: int, max_simplices: int = DEFAULT_MAX_SIMPLICES) -> Tre
         raise PreconditionError("tree_ball needs radius >= 1")
     # The ball has 1 + m((m-1)^r - 1)/(m-2) simplices; sum it level by level
     # and stop at the cap, so a huge r builds neither the ball nor the number.
+    message = f"ball exceeds {max_simplices} simplices; lower r or raise the cap"
     size, level = 1, m
     for _ in range(r):
         size += level
         if size > max_simplices:
-            raise CapExceeded(
-                f"ball exceeds {max_simplices} simplices; lower r or raise the cap"
-            )
+            raise CapExceeded(message)
         level *= m - 1
     start = base_simplex(m)
     index: dict[Simplex, int] = {start: 0}
     info: list[tuple[Simplex, int]] = [(start, 0)]
-    edges: set[tuple[int, int]] = set()
-    frontier = [start]
-    for depth in range(1, r + 1):
-        nxt: list[Simplex] = []
-        for s in sorted(frontier, key=simplex_tag):
-            i = index[s]
-            for key in sorted(s):
-                n = neighbor_across(m, s, key)
-                if n not in index:
-                    if len(index) >= max_simplices:
-                        raise CapExceeded(
-                            f"ball exceeds {max_simplices} simplices; lower r or raise the cap"
-                        )
-                    index[n] = len(info)
-                    info.append((n, depth))
-                    nxt.append(n)
-                j = index[n]
-                edges.add((min(i, j), max(i, j)))
-        frontier = nxt
+    edges: list[tuple[int, int]] = []
+    for depth, pairs in _levels(m, start, r, max_simplices, message):
+        for parent, s in pairs:
+            index[s] = len(info)
+            info.append((s, depth))
+            edges.append((index[parent], index[s]))
     nodes = tuple(
         SimplexNode(
             tag=simplex_tag(s),
@@ -216,43 +215,22 @@ class AxisDescription:
         return self.conjugator * generator(self.base, self.sign) * self.conjugator.inverse()
 
 
-def axis_vertex(m: int, a: AxisDescription, k: int) -> Simplex:
-    """The k-th simplex on the axis: conjugator * base^k * (base simplex)."""
-    rep = a.conjugator * (generator(a.base) ** k)
-    return _simplex_from(m, rep, "s")
-
-
-def _axis_walk(m: int, a: AxisDescription, span: int) -> list[Simplex]:
-    """axis_vertex(m, a, k) for k = -span..span, one base letter per step."""
-    nf = garside_nf(m, a.conjugator * generator(a.base, -1) ** span)
+def _axis_walk(m: int, a: AxisDescription, lo: int, hi: int) -> list[Simplex]:
+    """The axis simplices k = lo..hi, conjugator * base^k * (base simplex),
+    walked one base letter per step from a single normal form."""
+    nf = garside_nf(m, a.conjugator * generator(a.base) ** lo)
     key, power = nf.simples, nf.delta_power
     stack = [(u[0], len(u)) for u in key]
     out = [_simplex_walk(m, key, stack, power, "s")]
-    for _ in range(2 * span):
+    for _ in range(hi - lo):
         key, power = _step(m, key, stack, power, a.base)
         out.append(_simplex_walk(m, key, stack, power, "s"))
     return out
 
 
-def _levels_from(m: int, start: Simplex, max_radius: int, cap: int):
-    """Iterator over (depth, set of simplices at that depth) from start."""
-    seen = {start}
-    frontier = {start}
-    yield 0, frontier
-    for depth in range(1, max_radius + 1):
-        nxt = set()
-        for s in frontier:
-            for key in s:
-                n = neighbor_across(m, s, key)
-                if n not in seen:
-                    seen.add(n)
-                    nxt.add(n)
-                    if len(seen) > cap:
-                        raise CapExceeded("projection search exceeded the simplex cap")
-        if not nxt:
-            return
-        frontier = nxt
-        yield depth, frontier
+def axis_vertex(m: int, a: AxisDescription, k: int) -> Simplex:
+    """The k-th simplex on the axis: conjugator * base^k * (base simplex)."""
+    return _axis_walk(m, a, k, k)[0]
 
 
 def _project_to_axis(
@@ -260,13 +238,16 @@ def _project_to_axis(
 ) -> tuple[int, int]:
     """(k*, distance) of the projection of the base simplex onto the axis."""
     targets = {}
-    for k, s in enumerate(_axis_walk(m, a, span), -span):
+    for k, s in enumerate(_axis_walk(m, a, -span, span), -span):
         targets.setdefault(s, k)
-    max_radius = len(a.conjugator) + 2
-    for depth, level in _levels_from(m, base_simplex(m), max_radius, cap):
-        hits = sorted(targets[s] for s in level if s in targets)
+    start = base_simplex(m)
+    if start in targets:
+        return targets[start], 0
+    message = "projection search exceeded the simplex cap"
+    for depth, level in _levels(m, start, len(a.conjugator) + 2, cap, message):
+        hits = [targets[s] for _, s in level if s in targets]
         if hits:
-            return hits[0], depth
+            return min(hits), depth
     raise CapExceeded("projection of the base simplex onto the axis not found in range")
 
 
@@ -282,7 +263,7 @@ def axis_segment(
         raise PreconditionError("axis_segment needs window >= 1")
     span = len(a.conjugator) + window + 2
     k0, _ = _project_to_axis(m, a, span, max_simplices)
-    return [simplex_tag(axis_vertex(m, a, k)) for k in range(k0 - window, k0 + window + 1)]
+    return [simplex_tag(s) for s in _axis_walk(m, a, k0 - window, k0 + window)]
 
 
 # ---------------------------------------------------------------------------
@@ -322,9 +303,9 @@ def classify_pair(
     for _attempt in range(4):
         ax: dict[Simplex, int] = {}
         ay: dict[Simplex, int] = {}
-        for k, s in enumerate(_axis_walk(m, x, span), -span):
+        for k, s in enumerate(_axis_walk(m, x, -span, span), -span):
             ax.setdefault(s, k)
-        for k, s in enumerate(_axis_walk(m, y, span), -span):
+        for k, s in enumerate(_axis_walk(m, y, -span, span), -span):
             ay.setdefault(s, k)
         common = set(ax) & set(ay)
         boundary = any(abs(ax[s]) >= span or abs(ay[s]) >= span for s in common)

@@ -78,8 +78,8 @@ def test_neighbour_view_matches_edge_scan():
         assert b.adjacency_text() == "\n".join(lines) + "\n"
 
 
-def _reference_simplices(m, key):
-    rep = Word((c, 1) for u in key for c in u)
+def _reference_simplices(m, rep):
+    """rep * (base s-simplex) and rep * (base t-simplex), one normal form per prefix."""
     out = []
     for first, other in (("s", "t"), ("t", "s")):
         prefixes = [
@@ -104,7 +104,7 @@ def test_simplices_at_matches_renormalised_prefixes(m, seed):
         letters = [(rng.choice("st"), rng.choice([1, -1])) for _ in range(rng.randint(0, 30))]
         keys.add(coset_key(m, Word(letters)))
     for key in keys:
-        assert simplices_at(m, key) == _reference_simplices(m, key)
+        assert simplices_at(m, key) == _reference_simplices(m, _key_to_word(key))
 
 
 @settings(max_examples=60, deadline=None)
@@ -113,11 +113,19 @@ def test_simplices_at_matches_renormalised_prefixes(m, seed):
     st.lists(st.tuples(st.sampled_from("st"), st.sampled_from([1, -1])), max_size=8),
     st.sampled_from("st"),
     st.sampled_from([1, -1]),
+    st.integers(-10, 10),
     st.integers(0, 10),
 )
-def test_axis_walk_matches_axis_vertex(m, conj, base, sign, span):
+def test_axis_walk_matches_renormalised_prefixes(m, conj, base, sign, lo, steps):
     a = AxisDescription(Word(conj), base, sign)
-    assert _axis_walk(m, a, span) == [axis_vertex(m, a, k) for k in range(-span, span + 1)]
+
+    def reference(k):
+        return _reference_simplices(m, a.conjugator * generator(base) ** k)[0]
+
+    walk = _axis_walk(m, a, lo, lo + steps)
+    assert walk == [reference(k) for k in range(lo, lo + steps + 1)]
+    assert axis_vertex(m, a, lo) == reference(lo)
+    assert base_simplex(m) == _reference_simplices(m, Word())[0]
 
 
 def test_each_coset_in_two_simplices():
@@ -158,6 +166,14 @@ def test_axis_segment_base_and_translate():
     seg_t = axis_segment(3, AxisDescription(P("t"), "s"), 1)
     expected = [simplex_tag(axis_vertex(3, AxisDescription(P("t"), "s"), k)) for k in (-1, 0, 1)]
     assert seg_t == expected
+
+
+def test_axis_segment_projection_cap():
+    a = AxisDescription(P("s s t t s"), "s")
+    with pytest.raises(CapExceeded) as err:
+        axis_segment(4, a, 1, max_simplices=16)
+    assert str(err.value) == "projection search exceeded the simplex cap"
+    assert len(axis_segment(4, a, 1, max_simplices=17)) == 3
 
 
 def test_axis_segment_is_a_path():
