@@ -128,6 +128,20 @@ def test_axis_walk_matches_renormalised_prefixes(m, conj, base, sign, lo, steps)
     assert base_simplex(m) == _reference_simplices(m, Word())[0]
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(3, 9),
+    st.lists(st.tuples(st.sampled_from("st"), st.sampled_from([1, -1])), max_size=8),
+    st.sampled_from("st"),
+    st.sampled_from([1, -1]),
+    st.integers(0, 10),
+)
+def test_axis_walk_matches_axis_vertex(m, conj, base, sign, span):
+    # One walk over the window agrees with a separate walk started at each k.
+    a = AxisDescription(Word(conj), base, sign)
+    assert _axis_walk(m, a, -span, span) == [axis_vertex(m, a, k) for k in range(-span, span + 1)]
+
+
 def test_each_coset_in_two_simplices():
     key = ()
     s1, s2 = simplices_at(3, key)
