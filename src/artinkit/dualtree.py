@@ -9,8 +9,9 @@ simplex, an edge whenever two simplices share a coset) is a regular m-tree on
 which the generators translate by 1.
 
 Cosets are keyed by the simple-factor sequence of the canonical form with the
-D power dropped.  A word enters the tree through one normal form per walk;
-from there the tree is navigated by right multiplication.  The two simplices
+D power dropped.  A word enters the tree through one normal form per walk
+(the base simplex takes one per prefix, through `coset_key`); from there the
+tree is navigated by right multiplication.  The two simplices
 through the coset with representative h are h*(base s-simplex) and
 h*(base t-simplex): starting from the key's own factors, each is walked one
 letter of the base prefix at a time, and each positive letter changes only
@@ -76,7 +77,8 @@ def _simplex_walk(
 
 
 def base_simplex(m: int) -> Simplex:
-    return _simplex_walk(m, (), [], 0, "s")
+    """The cosets of the m prefixes of s t s ..., one normal form each."""
+    return frozenset(coset_key(m, Word(("st"[i % 2], 1) for i in range(k))) for k in range(m))
 
 
 def simplices_at(m: int, key: CosetKey) -> tuple[Simplex, Simplex]:
@@ -133,13 +135,12 @@ class TreeBall:
         return "\n".join(lines) + "\n"
 
 
-def _levels(m: int, start: Simplex, radius: int, cap: int, message: str):
+def _levels(m: int, start: Simplex, radius: int):
     """Breadth-first levels of the dual tree around `start`.
 
     Yields (depth, [(parent, simplex), ...]) for depth 1..radius, listing the
     simplices first reached at that depth: parents in `simplex_tag` order and
-    each parent's cosets in sorted order.  Raises CapExceeded(message) once
-    more than `cap` simplices have been seen.
+    each parent's cosets in sorted order.
     """
     seen = {start}
     frontier = [start]
@@ -150,8 +151,6 @@ def _levels(m: int, start: Simplex, radius: int, cap: int, message: str):
                 n = neighbor_across(m, s, key)
                 if n not in seen:
                     seen.add(n)
-                    if len(seen) > cap:
-                        raise CapExceeded(message)
                     level.append((s, n))
         yield depth, level
         frontier = [n for _, n in level]
@@ -165,18 +164,17 @@ def tree_ball(m: int, r: int, max_simplices: int = DEFAULT_MAX_SIMPLICES) -> Tre
         raise PreconditionError("tree_ball needs radius >= 1")
     # The ball has 1 + m((m-1)^r - 1)/(m-2) simplices; sum it level by level
     # and stop at the cap, so a huge r builds neither the ball nor the number.
-    message = f"ball exceeds {max_simplices} simplices; lower r or raise the cap"
     size, level = 1, m
     for _ in range(r):
         size += level
         if size > max_simplices:
-            raise CapExceeded(message)
+            raise CapExceeded(f"ball exceeds {max_simplices} simplices; lower r or raise the cap")
         level *= m - 1
     start = base_simplex(m)
     index: dict[Simplex, int] = {start: 0}
     info: list[tuple[Simplex, int]] = [(start, 0)]
     edges: list[tuple[int, int]] = []
-    for depth, pairs in _levels(m, start, r, max_simplices, message):
+    for depth, pairs in _levels(m, start, r):
         for parent, s in pairs:
             index[s] = len(info)
             info.append((s, depth))
@@ -243,8 +241,11 @@ def _project_to_axis(
     start = base_simplex(m)
     if start in targets:
         return targets[start], 0
-    message = "projection search exceeded the simplex cap"
-    for depth, level in _levels(m, start, len(a.conjugator) + 2, cap, message):
+    seen = 1
+    for depth, level in _levels(m, start, len(a.conjugator) + 2):
+        seen += len(level)
+        if seen > cap:
+            raise CapExceeded("projection search exceeded the simplex cap")
         hits = [targets[s] for _, s in level if s in targets]
         if hits:
             return min(hits), depth
