@@ -20,12 +20,13 @@ import hashlib
 import itertools
 from dataclasses import dataclass
 
-from .decomposition import _separating_edges_unchecked, chunks, cut_vertices
+from .decomposition import _components_without, chunks, cut_vertices, separating_edges
 from .dihedral import words_equal
 from .errors import HypothesisError, PreconditionError, WordError
 from .presentation import (
     Edge,
     PresentationGraph,
+    TypeFlags,
     classify,
     labelled_embeddings,
     labelled_isomorphisms,
@@ -172,7 +173,7 @@ def _twist_sides(
     With `root` given, only components disjoint from the root vertex set are
     eligible (sides hanging away from the anchor chunk)."""
     a, b = e
-    comps = list(g.without([a, b]).components())
+    comps = _components_without(g, e)
     if root is not None:
         usable = [c for c in comps if not (set(c) & (root - {a, b}))]
         top = len(usable)
@@ -207,7 +208,7 @@ def edge_twist(
     outer = set(g.vertices) - side
     if not inner or not outer:
         raise PreconditionError("both parts must contain a vertex outside the other")
-    comps = {frozenset(c) for c in g.without([a, b]).components()}
+    comps = {frozenset(c) for c in _components_without(g, (a, b))}
     if len(comps) < 2:
         raise PreconditionError(f"({a},{b}) is not a separating edge")
     chosen = {c for c in comps if c <= inner}
@@ -295,7 +296,7 @@ def twist_family(g: PresentationGraph, sides: str = "rooted") -> TwistFamily:
     if sides not in ("rooted", "all"):
         raise PreconditionError("sides must be 'rooted' or 'all'")
     root: frozenset[str] | None = None
-    if sides == "rooted" and g.rank() >= 3 and _separating_edges_unchecked(g):
+    if sides == "rooted" and g.rank() >= 3 and separating_edges(g):
         root = frozenset(chunks(g)[0].vertices)
 
     members = [g]
@@ -306,8 +307,7 @@ def twist_family(g: PresentationGraph, sides: str = "rooted") -> TwistFamily:
     while queue:
         i = queue.pop(0)
         cur = members[i]
-        # twists keep the graph connected and without cut-vertex
-        for e in _separating_edges_unchecked(cur):
+        for e in separating_edges(cur):
             for side in _twist_sides(cur, e, root):
                 twisted, mp = edge_twist(cur, e, side)
                 try:
@@ -363,13 +363,8 @@ def aut_generators(g: PresentationGraph, assume_cstp: bool = False) -> list[Gene
                 psi = graph_auto_map(fam.graphs[i], perm, target=fam.graphs[j])
                 out.append(compose(fam.canonical_iso[j], compose(psi, fam.canonical_iso_inv[i])))
 
-    seen: set = set()
-    unique: list[GeneratorMap] = []
-    for mp in out:
-        key = tuple(sorted((v, w.letters) for v, w in mp.assignment.items()))
-        if key not in seen:
-            seen.add(key)
-            unique.append(mp)
+    # every map runs g -> g, so GeneratorMap equality is equality of assignments
+    unique = list(dict.fromkeys(out))
 
     for mp in unique:
         res = verify_standard_form(mp)
@@ -390,8 +385,7 @@ class Verdict:
     witness: GeneratorMap | None = None
 
 
-def _hypothesis_line(g: PresentationGraph) -> tuple[str, tuple[str, ...]]:
-    flags = classify(g)
+def _hypothesis_line(g: PresentationGraph, flags: TypeFlags) -> tuple[str, tuple[str, ...]]:
     checked = (
         f"xxxl={flags.xxxl}",
         f"large={flags.large}",
@@ -409,8 +403,8 @@ def _hypothesis_line(g: PresentationGraph) -> tuple[str, tuple[str, ...]]:
 def decide_out_finite(g: PresentationGraph) -> Verdict:
     """Finite outer automorphism group iff connected, not an even edge, and
     without cut-vertex or separating edge."""
-    cls, checked = _hypothesis_line(g)
     flags = classify(g)
+    cls, checked = _hypothesis_line(g, flags)
     if not g.is_connected():
         return Verdict(False, "graph is disconnected", cls, checked)
     if flags.is_even_edge:
@@ -418,7 +412,7 @@ def decide_out_finite(g: PresentationGraph) -> Verdict:
     cut = cut_vertices(g)
     if cut:
         return Verdict(False, f"cut-vertex {cut[0]}", cls, checked)
-    sep = _separating_edges_unchecked(g)  # connected, no cut-vertex: checked above
+    sep = separating_edges(g)
     if sep:
         return Verdict(False, f"separating edge ({sep[0][0]},{sep[0][1]})", cls, checked)
     return Verdict(
@@ -429,8 +423,8 @@ def decide_out_finite(g: PresentationGraph) -> Verdict:
 def decide_cohopfian(g: PresentationGraph) -> Verdict:
     """Co-hopfian iff connected, not an edge, and without cut-vertex; the
     cut-vertex case carries a constructive proper self-embedding witness."""
-    cls, checked = _hypothesis_line(g)
     flags = classify(g)
+    cls, checked = _hypothesis_line(g, flags)
     if not g.is_connected():
         return Verdict(False, "graph is disconnected", cls, checked)
     if flags.rank == 2 and len(g.edge_pairs()) == 1:
@@ -462,20 +456,19 @@ def proper_self_embedding(g: PresentationGraph, c: str) -> GeneratorMap:
         raise PreconditionError(f"unknown vertex {c!r}")
     if c not in cut_vertices(g):
         raise PreconditionError(f"{c!r} is not a cut-vertex")
-    comps = g.without([c]).components()
+    comps = _components_without(g, {c})
     side1 = set(comps[0]) | {c}
     side2 = (set(g.vertices) - set(comps[0]))
-    g1, g2 = g.induced(side1), g.induced(side2)
 
-    def centraliser(part: PresentationGraph) -> tuple[Word, str, int]:
-        a = min(part.neighbors(c))
+    def centraliser(side: set[str]) -> tuple[Word, str, int]:
+        a = min(n for n in g.neighbors(c) if n in side)
         m = g.label(c, a)
         if m == 2:
             return generator(a), a, m
         return _center_word(c, a, m), a, m
 
-    h1, a1, m1 = centraliser(g1)
-    h2, a2, m2 = centraliser(g2)
+    h1, a1, m1 = centraliser(side1)
+    h2, a2, m2 = centraliser(side2)
     for h, a, m in ((h1, a1, m1), (h2, a2, m2)):
         if not _equal_in_dihedral(m, h * generator(c) * h.inverse(), generator(c), c, a):
             raise AssertionError("centralising element does not centralise the cut-vertex")

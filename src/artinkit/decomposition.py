@@ -1,7 +1,8 @@
 """Structural analysis of presentation graphs.
 
 Cut-vertices, separating edges, chunks and the chunk tree, chordless cycle
-enumeration and the graph of induced cycles.
+enumeration and the graph of induced cycles.  Components, cut-vertices and
+separating edges are computed once per graph instance and kept on it.
 
 Separating edges follow the convention used for Artin-group decompositions: an
 edge e = {a, b} of a connected graph without cut-vertex is separating iff
@@ -26,14 +27,21 @@ def _require_connected(g: PresentationGraph, op: str) -> None:
         raise PreconditionError(f"{op} needs a connected graph")
 
 
+def _components_without(g: PresentationGraph, drop) -> tuple[tuple[str, ...], ...]:
+    """The components of g minus the vertex set `drop`, without building that graph."""
+    return connected_components(
+        [v for v in g.vertices if v not in drop],
+        lambda v: [n for n in g._adjacency[v] if n not in drop],
+    )
+
+
 def cut_vertices(g: PresentationGraph) -> tuple[str, ...]:
     """Vertices whose removal disconnects the graph."""
     _require_connected(g, "cut_vertices")
-    out = []
-    for v in g.vertices:
-        if len(g.vertices) > 1 and len(g.without([v]).components()) >= 2:
-            out.append(v)
-    return tuple(out)
+    return g._fact(
+        "cut_vertices",
+        lambda g: tuple(v for v in g.vertices if len(_components_without(g, {v})) >= 2),
+    )
 
 
 def separating_edges(g: PresentationGraph) -> tuple[Edge, ...]:
@@ -41,12 +49,9 @@ def separating_edges(g: PresentationGraph) -> tuple[Edge, ...]:
     _require_connected(g, "separating_edges")
     if cut_vertices(g):
         raise PreconditionError("separating_edges needs a graph without cut-vertex")
-    return _separating_edges_unchecked(g)
-
-
-def _separating_edges_unchecked(g: PresentationGraph) -> tuple[Edge, ...]:
-    return tuple(
-        (u, v) for u, v in g.edge_pairs() if len(g.without([u, v]).components()) >= 2
+    return g._fact(
+        "separating_edges",
+        lambda g: tuple(e for e in g.edge_pairs() if len(_components_without(g, e)) >= 2),
     )
 
 
@@ -56,7 +61,7 @@ def chunks(g: PresentationGraph) -> tuple[PresentationGraph, ...]:
     Computed by recursive splitting: pick a separating edge {a, b}, split into
     one piece per component of the graph minus {a, b} (each together with a
     and b), recurse.  Splitting preserves connectivity and the no-cut-vertex
-    property of the pieces.
+    property of the pieces, which `separating_edges` re-checks on each piece.
     """
     _require_connected(g, "chunks")
     if cut_vertices(g):
@@ -65,12 +70,12 @@ def chunks(g: PresentationGraph) -> tuple[PresentationGraph, ...]:
         raise PreconditionError("chunks needs at least 3 vertices")
 
     def split(piece: PresentationGraph) -> list[PresentationGraph]:
-        seps = _separating_edges_unchecked(piece)
+        seps = separating_edges(piece)
         if not seps:
             return [piece]
         a, b = seps[0]
         out: list[PresentationGraph] = []
-        for comp in piece.without([a, b]).components():
+        for comp in _components_without(piece, (a, b)):
             out.extend(split(piece.induced(set(comp) | {a, b})))
         return out
 
@@ -104,7 +109,7 @@ class ChunkTree:
 
 def chunk_tree(g: PresentationGraph) -> ChunkTree:
     cs = chunks(g)
-    seps = _separating_edges_unchecked(g)  # chunks has checked the preconditions
+    seps = separating_edges(g)
     incidence = []
     for ei, (a, b) in enumerate(seps):
         for ci, c in enumerate(cs):
@@ -234,8 +239,10 @@ def validate_cycle_chain(
     v: str,
     chain: tuple[tuple[str, ...], ...],
 ) -> bool:
-    """Check the witness contract: a non-backtracking loop through v-edges."""
+    """Check the witness contract: a non-backtracking loop through v-edges of g."""
     if not chain or chain[0] != c1 or chain[-1] != c2:
+        return False
+    if not all(g.has_edge(*e) for c in chain for e in _cycle_edges(c)):
         return False
     if c1 == c2:
         return len(chain) == 1
@@ -266,7 +273,7 @@ def cycle_chain_witness(
     all_cycles = set(induced_cycles(g))
     if c1 not in all_cycles or c2 not in all_cycles:
         raise PreconditionError("c1 and c2 must be induced cycles of the graph")
-    if _separating_edges_unchecked(g):
+    if not g.is_connected() or cut_vertices(g) or separating_edges(g):
         raise PreconditionError("cycle_chain_witness needs a graph without separating edge")
     shared = _shared_edges(c1, c2)
     if c1 == c2:

@@ -55,9 +55,10 @@ def connected_components(nodes, neighbors) -> tuple[tuple, ...]:
 
 
 class PresentationGraph:
-    """Immutable labelled simplicial graph."""
+    """Immutable labelled simplicial graph; `_facts` keeps each structural fact
+    once computed, and equality, hashing and serialisation never read it."""
 
-    __slots__ = ("vertices", "_labels", "_adjacency")
+    __slots__ = ("vertices", "_labels", "_adjacency", "_facts")
 
     def __init__(self, vertices, edges):
         """vertices: iterable of names; edges: iterable of (u, v, label)."""
@@ -88,6 +89,7 @@ class PresentationGraph:
         object.__setattr__(
             self, "_adjacency", {v: tuple(sorted(ns)) for v, ns in adjacency.items()}
         )
+        object.__setattr__(self, "_facts", {})
 
     def __setattr__(self, *_):
         raise AttributeError("PresentationGraph is immutable")
@@ -145,8 +147,16 @@ class PresentationGraph:
         drop = set(drop)
         return self.induced(set(self.vertices) - drop)
 
+    def _fact(self, key: str, compute):
+        """The fact `key` of this graph: compute(self) on first use, then kept."""
+        if key not in self._facts:
+            self._facts[key] = compute(self)
+        return self._facts[key]
+
     def components(self) -> tuple[tuple[str, ...], ...]:
-        return connected_components(self.vertices, self._adjacency.__getitem__)
+        return self._fact(
+            "components", lambda g: connected_components(g.vertices, g._adjacency.__getitem__)
+        )
 
     def is_connected(self) -> bool:
         return len(self.components()) <= 1

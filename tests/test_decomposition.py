@@ -18,7 +18,9 @@ from artinkit import (
     parse_graph,
     separating_edges,
 )
+from artinkit import decomposition, presentation
 from artinkit.decomposition import _canonical_cycle, validate_cycle_chain
+from artinkit.presentation import connected_components
 from conftest import complete_graph, cycle_pg, random_biconnected, random_connected, triforce_graph
 
 
@@ -140,6 +142,34 @@ def test_separating_edges_precondition():
     )
     with pytest.raises(PreconditionError):
         separating_edges(two_tri)
+
+
+# -- facts kept per graph ---------------------------------------------------------
+
+def test_graph_facts_are_walked_once_per_instance(monkeypatch):
+    walks = []
+
+    def counting(nodes, neighbors):
+        walks.append(1)
+        return connected_components(nodes, neighbors)
+
+    monkeypatch.setattr(presentation, "connected_components", counting)
+    monkeypatch.setattr(decomposition, "connected_components", counting)
+    g = triforce_graph()
+    facts = (g.components(), cut_vertices(g), separating_edges(g))
+    # one walk for the components, one per vertex and one per edge
+    assert len(walks) == 1 + g.rank() + len(g.edge_pairs())
+    walks.clear()
+    assert (g.components(), cut_vertices(g), separating_edges(g)) == facts
+    assert walks == []
+
+
+def test_graph_with_kept_facts_equals_a_fresh_parse(triforce):
+    text = triforce.serialize()
+    assert separating_edges(triforce)
+    fresh = parse_graph(text)
+    assert triforce == fresh and hash(triforce) == hash(fresh)
+    assert triforce.serialize() == fresh.serialize() == text
 
 
 # -- chunks ------------------------------------------------------------------------
@@ -333,6 +363,9 @@ def test_chain_witness_k4():
     assert v in ("a", "b")
     assert len(chain) >= 3
     assert validate_cycle_chain(k4, ("a", "b", "c"), ("a", "b", "d"), v, chain)
+    # every chain of three or more triangles of K4 uses the edge c-d
+    no_cd = PresentationGraph("abcd", [e for e in k4.edges() if e[:2] != ("c", "d")])
+    assert not validate_cycle_chain(no_cd, ("a", "b", "c"), ("a", "b", "d"), v, chain)
 
 
 def test_chain_witness_octahedron():
@@ -382,3 +415,8 @@ def test_chain_witness_trivial_and_errors():
         # sharing no edge violates the precondition
         octa_like = cycle_pg("abcdef")
         cycle_chain_witness(octa_like, ("a", "b", "c"), ("d", "e", "f"))
+    # a cut-vertex also implies a separating edge here, so the message names that
+    bowtie = PresentationGraph("abcde", [(u, v, 3) for u, v in ("ab", "bc", "ac", "cd", "de", "ce")])
+    for c2 in (("a", "b", "c"), ("c", "d", "e")):
+        with pytest.raises(PreconditionError, match="needs a graph without separating edge$"):
+            cycle_chain_witness(bowtie, ("a", "b", "c"), c2)

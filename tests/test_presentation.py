@@ -14,6 +14,7 @@ from artinkit import (
     labelled_isomorphisms,
     parse_graph,
 )
+from artinkit.decomposition import _components_without
 from conftest import complete_graph, random_connected, triforce_graph
 
 
@@ -100,6 +101,7 @@ def test_adjacency_and_components_match_networkx(n, pairs, drop):
     dropped = [names[i] for i in sorted(drop) if i < n]
     _assert_matches_networkx(g.without(dropped))
     _assert_matches_networkx(g.induced(dropped))
+    assert _components_without(g, dropped) == g.without(dropped).components()
     assert g.neighbors("absent") == ()
     assert g.degree("absent") == 0
 
