@@ -444,7 +444,7 @@ def _center_word(c: str, a: str, m: int) -> Word:
 def _equal_in_dihedral(m: int, w1: Word, w2: Word, x: str, y: str) -> bool:
     rename = {x: "s", y: "t"}
     def conv(w: Word) -> Word:
-        return Word((rename[n], e) for n, e in w)
+        return Word._of(tuple((rename[n], e) for n, e in w))
     return words_equal(m, conv(w1), conv(w2))
 
 
@@ -547,9 +547,9 @@ def _parse_conjugated_generator(w: Word) -> tuple[Word, str, int]:
     if n % 2 == 0:
         raise WordError(f"{w} is not a conjugated generator power")
     half = n // 2
-    arm = Word(w.letters[:half])
+    arm = Word._of(w.letters[:half])
     mid_name, mid_sign = w.letters[half]
-    if (arm * generator(mid_name, mid_sign) * arm.inverse()).letters != w.letters:
+    if (arm * Word._of(w.letters[half:half + 1]) * arm.inverse()).letters != w.letters:
         raise WordError(f"{w} is not a conjugated generator power")
     return arm, mid_name, mid_sign
 

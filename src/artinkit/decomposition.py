@@ -1,8 +1,8 @@
 """Structural analysis of presentation graphs.
 
 Cut-vertices, separating edges, chunks and the chunk tree, chordless cycle
-enumeration and the graph of induced cycles.  Components, cut-vertices and
-separating edges are computed once per graph instance and kept on it.
+enumeration and the graph of induced cycles.  Components, cut-vertices,
+separating edges and chunks are computed once per graph instance and kept on it.
 
 Separating edges follow the convention used for Artin-group decompositions: an
 edge e = {a, b} of a connected graph without cut-vertex is separating iff
@@ -79,7 +79,7 @@ def chunks(g: PresentationGraph) -> tuple[PresentationGraph, ...]:
             out.extend(split(piece.induced(set(comp) | {a, b})))
         return out
 
-    return tuple(sorted(split(g), key=lambda c: c.vertices))
+    return g._fact("chunks", lambda g: tuple(sorted(split(g), key=lambda c: c.vertices)))
 
 
 @dataclass(frozen=True)

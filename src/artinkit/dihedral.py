@@ -67,9 +67,14 @@ def _alt_string(first: str, k: int) -> str:
     return ((first + _OTHER[first]) * (k // 2 + 1))[:k]
 
 
+def _positive_word(factors: Iterable[str]) -> Word:
+    """The positive word on the letters of `factors`, each over s, t: it cannot cancel."""
+    return Word._of(tuple((c, 1) for u in factors for c in u))
+
+
 def delta_word(m: int) -> Word:
     """The full alternating word Pi(s,t;m) as a Word."""
-    return Word((c, 1) for c in _alt_string("s", m))
+    return _positive_word([_alt_string("s", m)])
 
 
 @dataclass(frozen=True)
@@ -88,6 +93,8 @@ class GarsideNormalForm:
                 raise ValueError(f"simple factor {u!r} is not alternating")
             if i > 0 and self.simples[i - 1][-1] != u[0]:
                 raise ValueError("consecutive simple factors fail the matching condition")
+            if not set(u) <= {"s", "t"}:
+                raise ValueError(f"simple factor {u!r} is not over s, t")
 
     @classmethod
     def _built(cls, m: int, simples: tuple[str, ...], delta_power: int) -> GarsideNormalForm:
@@ -98,10 +105,7 @@ class GarsideNormalForm:
         return nf
 
     def word(self) -> Word:
-        w = Word((c, 1) for u in self.simples for c in u)
-        if self.delta_power:
-            w = w * (delta_word(self.m) ** self.delta_power)
-        return w
+        return _positive_word(self.simples) * delta_word(self.m) ** self.delta_power
 
     def __str__(self) -> str:
         return f"[{'|'.join(self.simples)}] Δ^{self.delta_power}"

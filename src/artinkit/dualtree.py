@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .dihedral import _OTHER, _alt_string, _extend, garside_nf, words_equal
+from .dihedral import _OTHER, _alt_string, _extend, _positive_word, garside_nf, words_equal
 from .errors import CapExceeded, PreconditionError
 from .words import Word, generator
 
@@ -38,10 +38,6 @@ DEFAULT_MAX_SIMPLICES = 20_000
 
 def coset_key(m: int, w: Word) -> CosetKey:
     return garside_nf(m, w).simples
-
-
-def _key_word(key: CosetKey) -> Word:
-    return Word((c, 1) for u in key for c in u)
 
 
 def coset_str(key: CosetKey) -> str:
@@ -78,7 +74,7 @@ def _simplex_walk(
 
 def base_simplex(m: int) -> Simplex:
     """The cosets of the m prefixes of s t s ..., one normal form each."""
-    return frozenset(coset_key(m, Word(("st"[i % 2], 1) for i in range(k))) for k in range(m))
+    return frozenset(coset_key(m, _positive_word([_alt_string("s", k)])) for k in range(m))
 
 
 def simplices_at(m: int, key: CosetKey) -> tuple[Simplex, Simplex]:
@@ -329,7 +325,7 @@ def classify_pair(
                 continue
             shared = s1 & s2
             if shared:
-                rep = _key_word(min(shared))
+                rep = _positive_word(min(shared))
                 w = rep.inverse()
                 for v, name in ((wx, "x"), (wy, "y")):
                     conj = w * v * w.inverse()

@@ -56,7 +56,7 @@ def connected_components(nodes, neighbors) -> tuple[tuple, ...]:
 
 class PresentationGraph:
     """Immutable labelled simplicial graph; `_facts` keeps each structural fact
-    once computed, and equality, hashing and serialisation never read it."""
+    and the hash once computed, and equality and serialisation never read it."""
 
     __slots__ = ("vertices", "_labels", "_adjacency", "_facts")
 
@@ -128,7 +128,7 @@ class PresentationGraph:
         )
 
     def __hash__(self) -> int:
-        return hash((self.vertices, tuple(sorted(self._labels.items()))))
+        return self._fact("hash", lambda g: hash((g.vertices, tuple(sorted(g._labels.items())))))
 
     def __repr__(self) -> str:
         return f"PresentationGraph({len(self.vertices)} vertices, {len(self._labels)} edges)"

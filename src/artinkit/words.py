@@ -5,6 +5,9 @@ kept freely reduced at all times: adjacent mutually inverse letters cancel on
 construction, so two Word objects are equal as free-group elements iff their
 letter tuples are equal.
 
+Letters are checked once, where they enter (`Word(letters)`, `generator`,
+`parse_word`); operations on words already held build through `Word._of`.
+
 Text grammar: whitespace-separated tokens, each either ``g`` or ``g^-1``
 where ``g`` is a generator name over [A-Za-z0-9_].
 """
@@ -31,6 +34,13 @@ def _reduce(letters: Iterable[Letter]) -> tuple[Letter, ...]:
     return tuple(stack)
 
 
+def _check_letter(name: str, sign: int) -> None:
+    if sign not in (1, -1):
+        raise WordError(f"letter exponent must be +1 or -1, got {sign}")
+    if not _NAME_RE.match(name):
+        raise WordError(f"bad generator name {name!r}")
+
+
 class Word:
     """An immutable freely reduced word."""
 
@@ -39,11 +49,15 @@ class Word:
     def __init__(self, letters: Iterable[Letter] = ()):
         reduced = _reduce(letters)
         for name, sign in reduced:
-            if sign not in (1, -1):
-                raise WordError(f"letter exponent must be +1 or -1, got {sign}")
-            if not _NAME_RE.match(name):
-                raise WordError(f"bad generator name {name!r}")
+            _check_letter(name, sign)
         object.__setattr__(self, "letters", reduced)
+
+    @classmethod
+    def _of(cls, letters: tuple[Letter, ...]) -> Word:
+        """The word on `letters`, already checked and freely reduced: nothing is re-checked."""
+        w = cls.__new__(cls)
+        object.__setattr__(w, "letters", letters)
+        return w
 
     def __setattr__(self, *_):
         raise AttributeError("Word is immutable")
@@ -61,16 +75,14 @@ class Word:
         return hash(self.letters)
 
     def __mul__(self, other: "Word") -> "Word":
-        return Word(self.letters + other.letters)
+        return Word._of(_reduce(self.letters + other.letters))
 
     def __pow__(self, n: int) -> "Word":
-        if n == 0:
-            return Word()
-        base = self if n > 0 else self.inverse()
-        return Word(base.letters * abs(n))
+        base = self if n >= 0 else self.inverse()
+        return Word._of(_reduce(base.letters * abs(n)))
 
     def inverse(self) -> "Word":
-        return Word((name, -sign) for name, sign in reversed(self.letters))
+        return Word._of(tuple((name, -sign) for name, sign in reversed(self.letters)))
 
     def conjugate_by(self, h: "Word") -> "Word":
         """h * self * h^-1."""
@@ -90,7 +102,7 @@ class Word:
                 raise WordError(f"no image for generator {name!r}")
             image = images[name] if sign == 1 else images[name].inverse()
             out.extend(image.letters)
-        return Word(out)
+        return Word._of(_reduce(out))
 
     def __str__(self) -> str:
         return " ".join(n if s == 1 else f"{n}^-1" for n, s in self.letters)
@@ -99,11 +111,9 @@ class Word:
         return f"Word({str(self)!r})"
 
 
-IDENTITY = Word()
-
-
 def generator(name: str, sign: int = 1) -> Word:
-    return Word([(name, sign)])
+    _check_letter(name, sign)
+    return Word._of(((name, sign),))
 
 
 def parse_word(text: str) -> Word:
@@ -117,7 +127,7 @@ def parse_word(text: str) -> Word:
         if not _NAME_RE.match(name):
             raise WordError(f"bad token {token!r} in word {text!r}")
         letters.append((name, sign))
-    return Word(letters)
+    return Word._of(_reduce(letters))
 
 
 def alt_product(x: Word, y: Word, k: int) -> Word:
@@ -127,4 +137,4 @@ def alt_product(x: Word, y: Word, k: int) -> Word:
     letters: list[Letter] = []
     for i in range(k):
         letters.extend((x if i % 2 == 0 else y).letters)
-    return Word(letters)
+    return Word._of(_reduce(letters))

@@ -1,7 +1,9 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from artinkit import PresentationGraph, decomposition, parse_graph
 from artinkit.cli import run
 from artinkit.dualtree import tree_ball
 from conftest import FIXTURES
@@ -188,3 +190,29 @@ def test_bad_word_is_domain_error():
     assert code == 1
     code, _ = run(["nf", "-m", "3", "s r"])  # r is not a dihedral generator
     assert code == 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.text())
+def test_arbitrary_word_text_ends_in_a_verdict_or_a_domain_error(text):
+    # "--" makes argparse hand the text to the word parser even when it starts with "-"
+    for argv in (["equal", "-m", "3", "--", text, "s"], ["nf", "-m", "4", "--", text]):
+        code, _ = run(argv)
+        assert code in (0, 1)
+
+
+def test_analyze_splits_the_graph_into_chunks_once(monkeypatch):
+    induced = PresentationGraph.induced
+    calls = []
+
+    def counting(self, keep):
+        calls.append(1)
+        return induced(self, keep)
+
+    monkeypatch.setattr(PresentationGraph, "induced", counting)
+    decomposition.chunks(parse_graph((FIXTURES / "triforce.graph").read_text()))
+    one_split = len(calls)
+    assert one_split > 0
+    calls.clear()
+    assert run(["analyze", TRIFORCE])[0] == 0
+    assert len(calls) == one_split

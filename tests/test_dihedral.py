@@ -75,6 +75,9 @@ def test_public_constructor_checks_its_factors():
         GarsideNormalForm(4, ("sst",), 0)
     with pytest.raises(ValueError, match="fail the matching condition"):
         GarsideNormalForm(4, ("st", "s"), 1)
+    # .word() trusts the factors' letters, so a name outside s, t stops here
+    with pytest.raises(ValueError, match="'a-' is not over s, t"):
+        GarsideNormalForm(4, ("a-",), 0)
     assert GarsideNormalForm(4, ("st", "ts"), 1) == garside_nf(4, P("s t t s") * delta_word(4))
 
 
@@ -86,6 +89,8 @@ def test_public_constructor_checks_its_factors():
 def test_garside_nf_output_passes_the_public_constructor(m, letters):
     nf = garside_nf(m, Word(letters))
     assert GarsideNormalForm(nf.m, nf.simples, nf.delta_power) == nf
+    w = nf.word()
+    assert w == Word(w.letters) and delta_word(m) == Word(delta_word(m).letters)
 
 
 def test_nf_format():

@@ -1,7 +1,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from artinkit import Word, WordError, generator, parse_word
+from artinkit import Word, WordError, generator, parse_word, words
+from artinkit.dihedral import parse_dihedral_word
 from artinkit.words import alt_product
 
 letters = st.lists(
@@ -62,3 +63,67 @@ def test_alt_product_examples():
     assert alt_product(s, t, 3) == parse_word("s t s")
     assert alt_product(s, t, 0) == Word()
     assert alt_product(generator("s", -1), t, 2) == parse_word("s^-1 t")
+
+
+# -- the boundary: letters are checked where they enter, and only there ----------
+
+def test_boundary_messages():
+    with pytest.raises(WordError, match=r"^letter exponent must be \+1 or -1, got 2$"):
+        Word([("s", 2)])
+    with pytest.raises(WordError, match=r"^bad generator name 's-t'$"):
+        Word([("s-t", 1)])
+    with pytest.raises(WordError, match=r"^letter exponent must be \+1 or -1, got 0$"):
+        generator("s", 0)
+    with pytest.raises(WordError, match=r"^bad generator name 'a b'$"):
+        generator("a b")
+
+
+@given(letters, letters, st.integers(-3, 3), st.integers(0, 5))
+def test_operations_build_checked_reduced_words(a, b, n, k):
+    wa, wb = Word(a), Word(b)
+    images = {"s": wb, "t": wa.inverse(), "u": Word()}
+    results = [
+        wa * wb,
+        wa**n,
+        wa.inverse(),
+        wa.substitute(images),
+        alt_product(wa, wb, k),
+        parse_word(str(wa) + " " + str(wb)),
+    ]
+    for r in results:
+        assert type(r) is Word
+        assert r == Word(r.letters)
+
+
+class _CountingPattern:
+    def __init__(self, pattern):
+        self.pattern = pattern
+        self.matches = 0
+
+    def match(self, *args):
+        self.matches += 1
+        return self.pattern.match(*args)
+
+
+def test_operations_run_no_name_check(monkeypatch):
+    a, b = parse_word("s t^-1 u"), parse_word("u^-1 t s s")
+    counting = _CountingPattern(words._NAME_RE)
+    monkeypatch.setattr(words, "_NAME_RE", counting)
+    a * b, a**3, a**-2, a.inverse(), a.conjugate_by(b)
+    a.substitute({"s": b, "t": a, "u": Word()})
+    alt_product(a, b, 5)
+    assert counting.matches == 0
+    parse_word("s t^-1 u t s^-1")
+    assert counting.matches == 5  # one check per token
+    generator("s", -1)
+    assert counting.matches == 6
+
+
+@given(st.text())
+def test_parsers_raise_only_word_errors(text):
+    for parse in (parse_word, parse_dihedral_word):
+        try:
+            w = parse(text)
+        except WordError:
+            continue
+        assert w == Word(w.letters)
