@@ -18,7 +18,9 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-from dataclasses import dataclass
+from collections.abc import Mapping
+from dataclasses import dataclass, field
+from types import MappingProxyType
 
 from .decomposition import _components_without, chunks, cut_vertices, separating_edges
 from .dihedral import words_equal
@@ -64,13 +66,18 @@ def graph_hash(g: PresentationGraph) -> str:
 
 @dataclass(frozen=True, eq=False)
 class GeneratorMap:
+    """`tag` and `note` only label reports.  `evidence` records how the library
+    built the map, and `verify_standard_form` routes on nothing else:
+    ("identity",) from `identity_map`, ("iso",) from `graph_auto_map`,
+    ("twist", a, b, side, direction) from `edge_twist`, ("composite", *factors)
+    from `compose`, and () for every other map, the constructor's included.
+    `assignment` is a read-only view of the map's own copy."""
     source: PresentationGraph
     target: PresentationGraph
-    assignment: dict[str, Word]
+    assignment: Mapping[str, Word]
     tag: str
-    factors: tuple["GeneratorMap", ...] = ()
     note: str = ""
-    twist_data: tuple | None = None  # (a, b, side frozenset, direction) for tag "twist"
+    evidence: tuple = field(default=(), init=False)
 
     def __post_init__(self):
         if set(self.assignment) != set(self.source.vertices):
@@ -82,6 +89,12 @@ class GeneratorMap:
                 raise PreconditionError(
                     f"image of {v!r} uses non-target generators {sorted(extra)}"
                 )
+        object.__setattr__(self, "assignment", MappingProxyType(dict(self.assignment)))
+
+    def _with_evidence(self, *evidence) -> GeneratorMap:
+        """Attach how the library built this map; called only where it is built."""
+        object.__setattr__(self, "evidence", evidence)
+        return self
 
     def __eq__(self, other) -> bool:
         return (
@@ -110,7 +123,8 @@ class GeneratorMap:
 
 
 def identity_map(g: PresentationGraph) -> GeneratorMap:
-    return GeneratorMap(g, g, {v: generator(v) for v in g.vertices}, "identity")
+    mp = GeneratorMap(g, g, {v: generator(v) for v in g.vertices}, "identity")
+    return mp._with_evidence("identity")
 
 
 def conjugation_map(g: PresentationGraph, h: Word) -> GeneratorMap:
@@ -128,7 +142,8 @@ def graph_auto_map(
 ) -> GeneratorMap:
     tgt = g if target is None else target
     tag = "graph-auto" if target is None or target == g else "graph-iso"
-    return GeneratorMap(g, tgt, {v: generator(perm[v]) for v in g.vertices}, tag)
+    assignment = {v: generator(perm[v]) for v in g.vertices if v in perm}
+    return GeneratorMap(g, tgt, assignment, tag)._with_evidence("iso")
 
 
 def inversion_map(g: PresentationGraph) -> GeneratorMap:
@@ -136,10 +151,11 @@ def inversion_map(g: PresentationGraph) -> GeneratorMap:
 
 
 def _parts(m: GeneratorMap) -> tuple[GeneratorMap, ...]:
-    if m.tag == "identity":
-        return ()
-    if m.tag == "composite":
-        return m.factors
+    match m.evidence:
+        case ("identity",):
+            return ()
+        case ("composite", *factors):
+            return tuple(factors)
     return (m,)
 
 
@@ -153,7 +169,8 @@ def compose(outer: GeneratorMap, inner: GeneratorMap) -> GeneratorMap:
         return identity_map(inner.source)
     if len(factors) == 1 and assignment == factors[0].assignment:
         return factors[0]
-    return GeneratorMap(inner.source, outer.target, assignment, "composite", factors)
+    mp = GeneratorMap(inner.source, outer.target, assignment, "composite")
+    return mp._with_evidence("composite", *factors)
 
 
 # ---------------------------------------------------------------------------
@@ -243,13 +260,12 @@ def edge_twist(
         assignment,
         "twist",
         note=f"edge=({a},{b}) side={{{','.join(sorted(side))}}} dir={direction:+d}",
-        twist_data=(a, b, side, direction),
     )
-    return twisted, mp
+    return twisted, mp._with_evidence("twist", a, b, side, direction)
 
 
 def _inverse_twist(mp: GeneratorMap) -> GeneratorMap:
-    a, b, side, direction = mp.twist_data
+    _, a, b, side, direction = mp.evidence
     _, inv = edge_twist(mp.target, (a, b), side, direction=-direction)
     if inv.target != mp.source:
         raise AssertionError("twist inversion did not return to the source graph")
@@ -300,24 +316,21 @@ def twist_family(g: PresentationGraph, sides: str = "rooted") -> TwistFamily:
         root = frozenset(chunks(g)[0].vertices)
 
     members = [g]
+    index = {g: 0}
     iso = [identity_map(g)]
     iso_inv = [identity_map(g)]
     edges_out: list[TwistEdge] = []
-    queue = [0]
-    while queue:
-        i = queue.pop(0)
-        cur = members[i]
+    # members grows as new graphs are found, so walking it is the breadth-first queue
+    for i, cur in enumerate(members):
         for e in separating_edges(cur):
             for side in _twist_sides(cur, e, root):
                 twisted, mp = edge_twist(cur, e, side)
-                try:
-                    j = members.index(twisted)
-                except ValueError:
-                    j = len(members)
+                j = index.get(twisted)
+                if j is None:
+                    j = index[twisted] = len(members)
                     members.append(twisted)
                     iso.append(compose(iso[i], _inverse_twist(mp)))
                     iso_inv.append(compose(mp, iso_inv[i]))
-                    queue.append(j)
                 edges_out.append(TwistEdge(i, j, e, tuple(sorted(side)), mp))
     return TwistFamily(tuple(members), 0, tuple(iso), tuple(iso_inv), tuple(edges_out))
 
@@ -557,52 +570,52 @@ def _parse_conjugated_generator(w: Word) -> tuple[Word, str, int]:
 def verify_standard_form(mp: GeneratorMap) -> VerifyResult:
     """ACCEPT when the map is certifiably of the conjugated-embedding shape.
 
-    Composites are accepted when every recorded factor verifies (twists are
-    checked structurally against their separating-edge data).  For direct
-    maps, each assignment must parse as arm * x^e * arm^-1 with a uniform
-    sign; every defining relation of the source is then either recycled
-    syntactically or decided inside a dihedral standard parabolic of the
-    target.  A relation that cannot be placed in such a parabolic makes the
-    verdict UNVERIFIABLE; a relation decided false makes it REJECT.
+    The route follows the map's evidence, never its tag.  Composites are
+    accepted when every factor verifies (twists are checked structurally
+    against their separating-edge data).  For direct maps, each assignment
+    must parse as arm * x^e * arm^-1 with a uniform sign; every defining
+    relation of the source is then either recycled syntactically or decided
+    inside a dihedral standard parabolic of the target.  A relation that
+    cannot be placed in such a parabolic makes the verdict UNVERIFIABLE; a
+    relation decided false makes it REJECT.
     """
-    details: list[str] = []
-    if mp.tag == "twist":
-        return _verify_twist(mp)
-    if mp.tag in ("graph-auto", "graph-iso"):
-        perm = {}
-        for v, w in mp.assignment.items():
-            if len(w.letters) != 1 or w.letters[0][1] != 1:
-                return VerifyResult("UNVERIFIABLE", (f"{v} image is not a generator",))
-            perm[v] = w.letters[0][0]
-        good = (
-            len(set(perm.values())) == mp.source.rank() == mp.target.rank()
-            and all(
-                mp.target.has_edge(perm[u], perm[v])
-                and mp.target.label(perm[u], perm[v]) == m
-                for u, v, m in mp.source.edges()
+    match mp.evidence:
+        case ("twist", *_):
+            return _verify_twist(mp)
+        case ("iso",):
+            perm = {}
+            for v, w in mp.assignment.items():
+                if len(w.letters) != 1 or w.letters[0][1] != 1:
+                    return VerifyResult("UNVERIFIABLE", (f"{v} image is not a generator",))
+                perm[v] = w.letters[0][0]
+            good = (
+                len(set(perm.values())) == mp.source.rank() == mp.target.rank()
+                and all(
+                    mp.target.has_edge(perm[u], perm[v])
+                    and mp.target.label(perm[u], perm[v]) == m
+                    for u, v, m in mp.source.edges()
+                )
+                and len(mp.source.edge_pairs()) == len(mp.target.edge_pairs())
             )
-            and len(mp.source.edge_pairs()) == len(mp.target.edge_pairs())
-        )
-        return VerifyResult(
-            "ACCEPT" if good else "REJECT",
-            ("labelled isomorphism" if good else "not a labelled isomorphism",),
-        )
-    if mp.tag == "identity":
-        return VerifyResult("ACCEPT", ())
-    if mp.tag == "composite" or mp.factors:
-        for k, f in enumerate(mp.factors):
-            sub = verify_standard_form(f)
-            details.append(f"factor {k} ({f.tag}): {sub.status}")
-            if sub.status != "ACCEPT":
-                return VerifyResult(sub.status, tuple(details + list(sub.details)))
-        return VerifyResult("ACCEPT", tuple(details))
+            return VerifyResult(
+                "ACCEPT" if good else "REJECT",
+                ("labelled isomorphism" if good else "not a labelled isomorphism",),
+            )
+        case ("identity",):
+            return VerifyResult("ACCEPT", ())
+        case ("composite", *factors):
+            details: list[str] = []
+            for k, f in enumerate(factors):
+                sub = verify_standard_form(f)
+                details.append(f"factor {k} ({f.tag}): {sub.status}")
+                if sub.status != "ACCEPT":
+                    return VerifyResult(sub.status, tuple(details + list(sub.details)))
+            return VerifyResult("ACCEPT", tuple(details))
     return _verify_direct(mp)
 
 
 def _verify_twist(f: GeneratorMap) -> VerifyResult:
-    if f.twist_data is None:
-        return VerifyResult("UNVERIFIABLE", ("twist without recorded data",))
-    a, b, side, direction = f.twist_data
+    _, a, b, side, direction = f.evidence
     try:
         expected_graph, expected = edge_twist(f.source, (a, b), side, direction)
     except PreconditionError as exc:

@@ -33,6 +33,14 @@ from conftest import complete_graph, cycle_pg, triforce_graph
 P = parse_word
 
 
+def even_edge_graph():
+    # (a,b) is an even separating edge between the triangles abc and abd
+    return PresentationGraph(
+        "abcd",
+        [("a", "b", 6), ("a", "c", 7), ("b", "c", 7), ("a", "d", 7), ("b", "d", 7)],
+    )
+
+
 def bowtie(label_at_c=3):
     return PresentationGraph(
         "abcde",
@@ -210,10 +218,7 @@ def test_aut_generators_even_separating_edge():
     # partial conjugation by the edge's distinguished element on the side
     # away from the anchor chunk (the twist of the anchor side is inner
     # times its inverse, so one side suffices to generate)
-    g = PresentationGraph(
-        "abcd",
-        [("a", "b", 6), ("a", "c", 7), ("b", "c", 7), ("a", "d", 7), ("b", "d", 7)],
-    )
+    g = even_edge_graph()
     gens = aut_generators(g)
     twists = [m for m in gens if m.tag in ("twist", "composite")]
     assert len(twists) == 1
@@ -433,3 +438,76 @@ def test_generator_map_conjugation_invariant(triforce):
     mp = conjugation_map(triforce, h)
     for v in triforce.vertices:
         assert mp.assignment[v] == h * generator(v) * h.inverse()
+
+
+def test_graph_auto_map_rejects_a_partial_permutation():
+    with pytest.raises(PreconditionError, match="cover exactly the source generators"):
+        graph_auto_map(complete_graph("abc", 6), {"a": "b"})
+
+
+# -- evidence: a map is verified by how it was built, never by its tag ---------------
+
+def _status(mp):
+    try:
+        return verify_standard_form(mp).status
+    except PreconditionError:  # malformed: not of the conjugated-generator shape
+        return "MALFORMED"
+
+
+def test_forged_tags_are_never_accepted():
+    g = complete_graph("abc", 6)
+    bad = {"a": P("a b a"), "b": generator("b"), "c": generator("c")}
+    for tag in ("composite", "identity"):
+        assert _status(GeneratorMap(g, g, bad, tag)) != "ACCEPT"
+    fake = GeneratorMap(g, g, {"a": generator("b"), "b": generator("b"), "c": generator("c")}, "identity")
+    forged = compose(conjugation_map(g, generator("a")), fake)
+    assert _status(forged) != "ACCEPT"
+    assert fake in forged.evidence  # a public map is never dropped as an identity
+
+
+def test_public_maps_go_through_the_word_problem_whatever_their_tag(monkeypatch, triforce):
+    from artinkit import automorphisms
+
+    seen = []
+    direct = automorphisms._verify_direct
+    monkeypatch.setattr(automorphisms, "_verify_direct", lambda mp: seen.append(mp) or direct(mp))
+    g = complete_graph("abc", 6)
+    auto = graph_auto_map(g, {"a": "b", "b": "c", "c": "a"})
+    _, twist = edge_twist(triforce, ("b", "c"), {"b", "c", "x"})
+    for built in (auto, twist):
+        assert verify_standard_form(built).status == "ACCEPT" and seen == []
+        public = GeneratorMap(built.source, built.target, built.assignment, built.tag, built.note)
+        assert public == built and public.evidence == ()
+        verify_standard_form(public)  # ACCEPT for the automorphism, UNVERIFIABLE for the twist
+        assert seen == [public]
+        seen.clear()
+
+
+def test_emitted_assignments_are_read_only():
+    g = complete_graph("abc", 6)
+    images = {v: generator(v) for v in g.vertices}
+    mp = GeneratorMap(g, g, images, "candidate")
+    images["a"] = generator("b")  # the map keeps its own copy
+    assert mp.assignment["a"] == generator("a")
+    for emitted in aut_generators(g):
+        with pytest.raises(TypeError):
+            emitted.assignment["a"] = generator("b")
+
+
+def test_composites_are_bound_to_their_factors(triforce):
+    g1 = PresentationGraph(
+        ["v0", "v1", "v2", "v3"],
+        [("v0", "v1", 7), ("v1", "v2", 9), ("v2", "v3", 8), ("v0", "v2", 7), ("v1", "v3", 9)],
+    )
+    seen = 0
+    for g in (triforce, even_edge_graph(), g1):
+        for mp in aut_generators(g):
+            if mp.evidence[:1] != ("composite",):
+                continue
+            seen += 1
+            for v in g.vertices:
+                w = generator(v)
+                for f in mp.evidence[1:]:  # application order
+                    w = f.apply(w)
+                assert w == mp.assignment[v]
+    assert seen >= 5

@@ -25,14 +25,15 @@ def test_library_imports_only_the_standard_library():
 
 
 def test_trusted_constructors_are_called_only_inside_the_library():
-    # Word._of and GarsideNormalForm._built skip every check; outside the
-    # library, words and normal forms come in through the checked constructors.
+    # Word._of and GarsideNormalForm._built skip every check, and
+    # GeneratorMap._with_evidence vouches for how a map was built; outside the
+    # library, words, normal forms and maps come in through the checked constructors.
     root = SRC.parent.parent
     paths = sorted(p for d in ("tests", "bench", "demos") for p in (root / d).rglob("*.py"))
     assert paths
     calls = []
     for path in paths:
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            if isinstance(node, ast.Attribute) and node.attr in ("_of", "_built"):
+            if isinstance(node, ast.Attribute) and node.attr in ("_of", "_built", "_with_evidence"):
                 calls.append(f"{path.relative_to(root)}:{node.lineno} {node.attr}")
     assert calls == []
